@@ -1,5 +1,14 @@
 """Command-line front end.
 
+`sweep` runs a parameter sweep and writes its CSV.  The cell commands
+`distort`, `cycles`, `route` and `moments` run one cell of the sweep
+kinds `distortion`, `cycle_census`, `route` and `moments` and print its
+row as column=value lines.  Their `--seed` is the cell seed itself, so
+`cubeperc <command> --seed S` with the sweep's -n, --alpha, --model and
+kind flags reprints the sweep row whose `seed` column is S.  Every
+sweep parameter flag is a SweepConfig field and takes its default
+from there.
+
 Exit codes: 0 on success, 1 when any cell errored or a golden check
 failed, 2 on configuration errors (argparse uses 2 for bad flags too).
 """
@@ -8,22 +17,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
+from dataclasses import fields
 
-from .cycles import cycle_count_bound, find_cycles_near
-from .embedding import analytic_moments, build_good_map, mc_open_path_count
 from .errors import ConfigError, CubePercError
-from .harness import KINDS, SweepConfig, run_sweep, verify_goldens
-from .hypercube import CubeShape, NeighborRetraceSpec, make_partition
-from .metrics import VertexMap, evaluate_distortion
-from .percolation import DEFAULT_DIMENSION_CAP, PercModel, sample
-from .routing import local_route
+from .harness import KIND_FIELDS, KINDS, SweepConfig, _fmt, cell_model, run_cell, run_sweep, verify_goldens
+from .hypercube import CubeShape
+from .percolation import DEFAULT_DIMENSION_CAP, sample
 
+# cell command -> sweep kind
+_CELL_KINDS = {
+    "distort": "distortion",
+    "cycles": "cycle_census",
+    "route": "route",
+    "moments": "moments",
+}
 
-def _model(args) -> PercModel:
-    p = float(args.n) ** -args.alpha
-    return PercModel.bond(p) if args.model == "bond" else PercModel.site(p)
+_DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -34,10 +44,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _sweep_config(args, **fixed) -> SweepConfig:
+    """SweepConfig from the parsed flags whose dest is a field name; an
+    omitted `sweep --alpha` parses as None and takes the field default."""
+    given = {k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None}
+    return SweepConfig(**given, **fixed)
+
+
 def _cmd_sample(args) -> int:
-    shape = CubeShape(args.n)
-    model = _model(args)
-    sm = sample(shape, model, args.seed, max_n=args.max_n)
+    model = cell_model(args.model, args.n, args.alpha)
+    sm = sample(CubeShape(args.n), model, args.seed, max_n=args.max_n)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(sm.serialize())
@@ -51,102 +67,20 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = SweepConfig(
-        kind=args.kind,
-        n_list=tuple(args.n),
-        alpha_list=tuple(args.alpha),
-        base_seed=args.seed,
-        seed_count=args.seeds,
-        model=args.model,
-        pairs=args.pairs,
-        cutoff=args.cutoff,
-        eval_pairs=args.eval_pairs,
-        max_length=args.max_length,
-        radius=args.radius,
-        budget=args.budget,
-        routes=args.routes,
-        radius_budget=args.radius_budget,
-        query_budget=args.query_budget,
-        l=args.l,
-        trials=args.trials,
-    )
-    text = run_sweep(config, threads=args.threads)
+    text = run_sweep(_sweep_config(args, base_seed=args.seed), threads=args.threads)
     _emit(text, args.out)
     rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
     had_error = any(row[-1] for row in rows[1:])
     return 1 if had_error else 0
 
 
-def _cmd_distort(args) -> int:
-    shape = CubeShape(args.n)
-    sm = sample(shape, _model(args), args.seed, max_n=args.max_n)
-    built = build_good_map(sm, make_partition(shape, args.alpha))
-    if not isinstance(built, VertexMap):
-        print(f"build failed: {len(built)} bad vertices")
-        return 1
-    report = evaluate_distortion(sm, built, args.mode, pair_count=args.eval_pairs)
-    print(f"d_plus={report.d_plus}")
-    print(f"d_minus={report.d_minus}")
-    print(f"distortion={report.distortion}")
-    print(f"exactness={report.exactness}")
-    print(f"pairs_evaluated={report.pairs_evaluated}")
-    return 0
-
-
-def _cmd_cycles(args) -> int:
-    shape = CubeShape(args.n)
-    sm = sample(shape, _model(args), args.seed, max_n=args.max_n)
-    res = find_cycles_near(
-        sm, args.vertex, args.max_length, args.radius,
-        budget=args.budget, count_only=not args.list,
+def _cmd_cell(args) -> int:
+    config = _sweep_config(
+        args, kind=_CELL_KINDS[args.command], n_list=(args.n,), alpha_list=(args.alpha,)
     )
-    print(f"count={res.count}")
-    print(f"partial={res.partial}")
-    print(f"expansions={res.expansions}")
-    print(f"count_bound={cycle_count_bound(args.n, max(1, args.max_length // 2))}")
-    if args.list:
-        for cyc in res.cycles:
-            print(",".join(str(v) for v in cyc.vertices))
-    return 0
-
-
-def _cmd_route(args) -> int:
-    shape = CubeShape(args.n)
-    sm = sample(shape, _model(args), args.seed, max_n=args.max_n)
-    trace = local_route(
-        sm, args.src, args.dst,
-        args.radius_budget or 2 * args.n, args.query_budget,
-        one_sided=args.one_sided,
-    )
-    print(f"outcome={trace.outcome}")
-    print(f"queries={trace.queries}")
-    print(f"explored={trace.explored}")
-    if trace.path is not None:
-        print(f"length={len(trace.path) - 1}")
-        print("path=" + ",".join(str(v) for v in trace.path))
-    return 0
-
-
-def _cmd_moments(args) -> int:
-    shape = CubeShape(args.n)
-    spec = NeighborRetraceSpec(shape, 0, 1, args.l)
-    p = float(args.n) ** -args.alpha
-    est = analytic_moments(spec, p)
-    print(f"family_size={est.family_size}")
-    print(f"path_length={est.path_length}")
-    print(f"analytic_mean={est.mean}")
-    print(f"second_moment_exact={est.second_moment_exact}")
-    print(f"ratio_bound={est.ratio_bound}")
-    if args.trials:
-        counts = mc_open_path_count(spec, _model(args), args.trials, base_seed=args.seed)
-        mc_mean = float(counts.mean())
-        print(f"mc_mean={mc_mean}")
-        print(f"mc_trials={args.trials}")
-        if est.second_moment_exact is not None:
-            var = max(est.second_moment_exact - est.mean**2, 0.0)
-            se = math.sqrt(var / args.trials)
-            print(f"z_score={(mc_mean - est.mean) / se if se > 0 else 0.0}")
-    return 0
+    row = run_cell(config, args.n, args.alpha, args.seed)
+    _emit("".join(f"{col}={_fmt(value)}\n" for col, value in row.items()), args.out)
+    return 1 if row["error"] else 0
 
 
 def _cmd_verify(args) -> int:
@@ -155,10 +89,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser, *, n_required: bool = True) -> None:
-    p.add_argument("-n", type=int, required=n_required, help="cube dimension")
-    p.add_argument("--alpha", type=float, default=0.25, help="p = n^-alpha")
-    p.add_argument("--model", choices=["bond", "site"], default="bond")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-n", type=int, required=True, help="cube dimension")
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha_list"][0], help="p = n^-alpha")
+    p.add_argument("--model", choices=["bond", "site"], default=_DEFAULTS["model"])
+
+
+def _add_fields(p: argparse.ArgumentParser, names) -> None:
+    # every per-kind field is an int; `-l` keeps its one-letter spelling
+    for name in names:
+        flag = f"-{name}" if len(name) == 1 else "--" + name.replace("_", "-")
+        p.add_argument(flag, type=int, default=_DEFAULTS[name])
 
 
 def _global_flags(p: argparse.ArgumentParser, *, suppress: bool) -> None:
@@ -166,15 +107,9 @@ def _global_flags(p: argparse.ArgumentParser, *, suppress: bool) -> None:
     # subparser with SUPPRESS, so the flags work on either side of the
     # subcommand without the subparser default clobbering the root value
     d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--seed", type=int, default=d if suppress else 0)
+    p.add_argument("--seed", type=int, default=d if suppress else _DEFAULTS["base_seed"])
     p.add_argument("--threads", type=int, default=d if suppress else 1)
     p.add_argument("--out", default=d, help="write output to this file")
-    p.add_argument("--format", choices=["csv"], default=d if suppress else "csv")
-    p.add_argument(
-        "--max-n", type=int, dest="max_n",
-        default=d if suppress else DEFAULT_DIMENSION_CAP,
-        help="runtime dimension cap",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,50 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[globals_parent], help="draw one sample, optionally save it")
     _add_common(p)
+    p.add_argument("--max-n", type=int, default=DEFAULT_DIMENSION_CAP, help="runtime dimension cap")
 
     p = sub.add_parser("sweep", parents=[globals_parent], help="run a parameter sweep, emit CSV")
     p.add_argument("--kind", choices=list(KINDS), required=True)
-    p.add_argument("-n", type=int, action="append", required=True)
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--model", choices=["bond", "site"], default="bond")
-    p.add_argument("--seeds", type=int, default=1, help="seeds per cell")
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--cutoff", type=int, default=9)
-    p.add_argument("--eval-pairs", type=int, default=2048, dest="eval_pairs")
-    p.add_argument("--max-length", type=int, default=8, dest="max_length")
-    p.add_argument("--radius", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--routes", type=int, default=100)
-    p.add_argument("--radius-budget", type=int, default=0, dest="radius_budget")
-    p.add_argument("--query-budget", type=int, default=1_000_000, dest="query_budget")
-    p.add_argument("-l", type=int, default=2)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("-n", type=int, action="append", required=True, dest="n_list", metavar="N")
+    p.add_argument("--alpha", type=float, action="append", dest="alpha_list", metavar="ALPHA")
+    p.add_argument("--model", choices=["bond", "site"], default=_DEFAULTS["model"])
+    p.add_argument("--seeds", type=int, default=_DEFAULTS["seed_count"], dest="seed_count",
+                   help="seeds per cell")
+    _add_fields(p, [name for names in KIND_FIELDS.values() for name in names])
 
-    p = sub.add_parser("distort", parents=[globals_parent], help="build a good map and measure distortion")
-    _add_common(p)
-    p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--eval-pairs", type=int, default=2048, dest="eval_pairs")
-
-    p = sub.add_parser("cycles", parents=[globals_parent], help="census short cycles near a vertex")
-    _add_common(p)
-    p.add_argument("--vertex", type=int, default=0)
-    p.add_argument("--max-length", type=int, default=8, dest="max_length")
-    p.add_argument("--radius", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--list", action="store_true", help="print each cycle")
-
-    p = sub.add_parser("route", parents=[globals_parent], help="route between two vertices with local queries")
-    _add_common(p)
-    p.add_argument("--src", type=int, required=True)
-    p.add_argument("--dst", type=int, required=True)
-    p.add_argument("--radius-budget", type=int, default=0, dest="radius_budget")
-    p.add_argument("--query-budget", type=int, default=1_000_000, dest="query_budget")
-    p.add_argument("--one-sided", action="store_true", dest="one_sided")
-
-    p = sub.add_parser("moments", parents=[globals_parent], help="analytic vs Monte Carlo open-path moments")
-    _add_common(p)
-    p.add_argument("-l", type=int, default=2)
-    p.add_argument("--trials", type=int, default=10_000)
+    for command, kind in _CELL_KINDS.items():
+        p = sub.add_parser(command, parents=[globals_parent],
+                           help=f"run one {kind} sweep cell with cell seed --seed, print its row")
+        _add_common(p)
+        _add_fields(p, KIND_FIELDS[kind])
 
     p = sub.add_parser("verify", parents=[globals_parent], help="re-run and compare golden CSVs")
     p.add_argument("directory")
@@ -240,10 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "sample": _cmd_sample,
     "sweep": _cmd_sweep,
-    "distort": _cmd_distort,
-    "cycles": _cmd_cycles,
-    "route": _cmd_route,
-    "moments": _cmd_moments,
+    **dict.fromkeys(_CELL_KINDS, _cmd_cell),
     "verify": _cmd_verify,
 }
 
@@ -251,8 +155,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and args.alpha is None:
-        args.alpha = [0.25]
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

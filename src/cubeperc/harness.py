@@ -45,6 +45,16 @@ KIND_COLUMNS = {
     "moments": ["analytic_mean", "mc_mean", "mc_trials", "z_score"],
 }
 
+# the SweepConfig fields each kind's cells read; the cell commands take
+# exactly their kind's fields as flags and `sweep` takes all of them
+KIND_FIELDS = {
+    "neighbor_dist": ("pairs", "cutoff"),
+    "distortion": ("eval_pairs",),
+    "cycle_census": ("max_length", "radius", "budget"),
+    "route": ("routes", "radius_budget", "query_budget"),
+    "moments": ("l", "trials"),
+}
+
 # absolute tolerances used by verify_goldens for columns that aggregate
 # floating-point sums (guards against cross-platform summation drift);
 # everything else must match byte for byte
@@ -61,24 +71,19 @@ TOLERANCES = {
 class SweepConfig:
     kind: str
     n_list: tuple[int, ...]
-    alpha_list: tuple[float, ...]
+    alpha_list: tuple[float, ...] = (0.25,)
     base_seed: int = 0
     seed_count: int = 1
     model: str = "bond"
-    # neighbor_dist
     pairs: int = 1000
     cutoff: int = 9
-    # distortion
     eval_pairs: int = 2048
-    # cycle_census
     max_length: int = 8
     radius: int = 0
     budget: Optional[int] = None
-    # route
     routes: int = 100
     radius_budget: int = 0  # 0 means 2n per cell
     query_budget: int = 1_000_000
-    # moments
     l: int = 2
     trials: int = 10_000
 
@@ -95,6 +100,10 @@ class SweepConfig:
                 raise ConfigError(f"alpha must be nonnegative, got {a}")
         if self.model not in ("bond", "site"):
             raise ConfigError(f"model must be bond or site, got {self.model!r}")
+        if self.kind == "moments" and self.model == "site":
+            # analytic_moments is the bond formula |family| * p^L; a site
+            # path also needs its vertices present, so the MC mean differs
+            raise ConfigError("moments sweeps support the bond model only")
         if self.seed_count < 0:
             raise ConfigError("seed_count must be nonnegative")
         for name in ("pairs", "eval_pairs", "max_length", "routes", "query_budget", "trials"):
@@ -116,9 +125,10 @@ class SweepConfig:
         ]
 
 
-def _cell_model(config: SweepConfig, n: int, alpha: float) -> PercModel:
+def cell_model(model: str, n: int, alpha: float) -> PercModel:
+    """The bond or site model of a cell, p = n^-alpha."""
     p = float(n) ** -alpha
-    if config.model == "bond":
+    if model == "bond":
         return PercModel.bond(p)
     return PercModel.site(p)
 
@@ -236,8 +246,7 @@ def _row_route(config, shape, model, seed, alpha):
 
 def _row_moments(config, shape, model, seed, alpha):
     spec = NeighborRetraceSpec(shape, 0, 1, config.l)
-    p = model.p_bond if config.model == "bond" else model.p_site
-    est = analytic_moments(spec, p)
+    est = analytic_moments(spec, model.p_bond)
     counts = mc_open_path_count(spec, model, config.trials, base_seed=seed)
     mc_mean = float(counts.mean())
     if est.second_moment_exact is not None:
@@ -263,23 +272,31 @@ _ROW_FNS = {
 }
 
 
-def _compute_cell(config: SweepConfig, cell: tuple[int, float, int]) -> dict:
-    n, alpha, j = cell
-    seed = mix64(config.base_seed, j)
+def run_cell(config: SweepConfig, n: int, alpha: float, seed: int) -> dict:
+    """The sweep row of cell (n, alpha) drawn with cell seed `seed`, keyed
+    by CSV column in header order (values unformatted).
+
+    A CubePercError raised by the experiment is an outcome of the cell
+    and goes to the `error` column; any other exception is a bug and
+    propagates, so it can never be written into a golden file.
+    """
     shape = CubeShape(n)
-    model = _cell_model(config, n, alpha)
+    model = cell_model(config.model, n, alpha)
     p = model.p_bond if config.model == "bond" else model.p_site
-    base = {"n": n, "alpha": alpha, "p": p, "seed": seed}
     columns = KIND_COLUMNS[config.kind]
     try:
         values = _ROW_FNS[config.kind](config, shape, model, seed, alpha)
-        base.update(values)
-        base["error"] = ""
-    except Exception as exc:  # per-cell failure: record and continue
-        for col in columns:
-            base[col] = None
-        base["error"] = f"{type(exc).__name__}: {exc}"
-    return base
+        error = ""
+    except CubePercError as exc:
+        values = dict.fromkeys(columns)
+        error = f"{type(exc).__name__}: {exc}"
+    return {"n": n, "alpha": alpha, "p": p, "seed": seed,
+            **{col: values[col] for col in columns}, "error": error}
+
+
+def _compute_cell(config: SweepConfig, cell: tuple[int, float, int]) -> dict:
+    n, alpha, j = cell
+    return run_cell(config, n, alpha, mix64(config.base_seed, j))
 
 
 def _csv_header(config: SweepConfig) -> list[str]:

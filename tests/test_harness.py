@@ -7,6 +7,7 @@ import csv
 
 import pytest
 
+from cubeperc import harness
 from cubeperc.cli import main
 from cubeperc.errors import ConfigError, MissingGolden
 from cubeperc.harness import (
@@ -38,6 +39,9 @@ class TestSweepConfig:
             {"trials": 0},
             {"cutoff": -1},
             {"budget": 0},
+            # analytic_moments is the bond formula; site-model rows would
+            # compare the MC mean against the wrong expectation
+            {"model": "site"},
         ],
     )
     def test_rejects(self, kwargs):
@@ -108,6 +112,25 @@ class TestSweepCsv:
         assert byn["10"]["error"] == ""
         assert byn["10"]["built"] == "0"
         assert float(byn["10"]["bad_frac"]) == 1.0
+
+    def test_bug_in_a_cell_propagates(self, tmp_path, monkeypatch):
+        # only CubePercError outcomes belong in the error column; a bug
+        # must neither land in a CSV nor let verify bless a golden
+        cfg = SweepConfig(kind="moments", n_list=(6,), alpha_list=(0.25,), l=1, trials=50)
+        gold = tmp_path / "goldens"
+        gold.mkdir()
+        (gold / "m.csv").write_text(run_sweep(cfg), encoding="utf-8")
+
+        def buggy(*args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(harness._ROW_FNS, "moments", buggy)
+        with pytest.raises(TypeError):
+            run_sweep(cfg)
+        report = verify_goldens(str(gold))
+        assert not report.passed
+        assert report.summary().startswith("FAIL m.csv")
+        assert "TypeError" in report.checks[0].detail
 
     def test_reruns_are_byte_identical(self):
         cfg = SweepConfig(
@@ -256,31 +279,62 @@ class TestCli:
         assert rc == 0
         assert "1/1 golden files match" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, kind, n, alpha, flags",
+        [
+            ("distort", "distortion", 10, 0.25, {"eval_pairs": 64}),
+            ("distort", "distortion", 2, 0.25, {}),  # error row, exit 1
+            ("cycles", "cycle_census", 6, 0.25, {"max_length": 6, "model": "site"}),
+            ("route", "route", 8, 0.5, {"routes": 10, "query_budget": 5000}),
+            ("moments", "moments", 10, 0.25, {"l": 1, "trials": 200}),
+        ],
+    )
+    def test_cell_command_reprints_sweep_row(self, capsys, command, kind, n, alpha, flags):
+        cfg = SweepConfig(kind=kind, n_list=(n,), alpha_list=(alpha,),
+                          base_seed=7, seed_count=2, **flags)
+        rows = data_rows(run_sweep(cfg))
+        argv = [command, "-n", str(n), "--alpha", str(alpha)]
+        for name, value in flags.items():
+            argv += ["-l" if name == "l" else "--" + name.replace("_", "-"), str(value)]
+        for row in rows[1:]:
+            rc = main([*argv, "--seed", row[3]])
+            out = capsys.readouterr().out
+            assert [ln.split("=", 1) for ln in out.splitlines()] == [list(c) for c in zip(rows[0], row)]
+            assert rc == (1 if row[-1] else 0)
+
     def test_distort_build_failure_exits_1(self, capsys):
+        # a failed build is a reported value of the row, not an error
         rc = main(["distort", "-n", "10", "--alpha", "0.25"])
-        assert rc == 1
-        assert "build failed" in capsys.readouterr().out
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "built=0" in out
+        assert "bad_frac=1.0" in out
+        assert "error=" in out
 
     def test_route_reports_outcome(self, capsys):
-        rc = main(["route", "-n", "4", "--alpha", "0", "--src", "0",
-                   "--dst", "15"])
+        rc = main(["route", "-n", "4", "--alpha", "0", "--routes", "5"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "outcome=found" in out
-        assert "length=4" in out
+        out = capsys.readouterr().out.splitlines()
+        assert "found_frac=1.0" in out
+        assert "opt_match_frac=1.0" in out
 
     def test_moments_reports_analytic_mean(self, capsys):
         rc = main(["moments", "-n", "10", "--alpha", "0.25", "-l", "2",
-                   "--trials", "0"])
+                   "--trials", "100"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "family_size=72" in out
         assert "analytic_mean=" in out
+        assert "mc_trials=100" in out
+
+    def test_moments_site_model_exits_2(self, capsys):
+        rc = main(["moments", "-n", "10", "--model", "site"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_cycles_census(self, capsys):
         rc = main(["cycles", "-n", "3", "--alpha", "0", "--max-length", "4",
-                   "--radius", "0", "--list"])
+                   "--radius", "0"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "count=3" in out
-        assert "partial=False" in out
+        out = capsys.readouterr().out.splitlines()
+        assert "cycle_count=3" in out
+        assert "partial=0" in out
