@@ -108,7 +108,6 @@ def _global_flags(p: argparse.ArgumentParser, *, suppress: bool) -> None:
     # subcommand without the subparser default clobbering the root value
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--seed", type=int, default=d if suppress else _DEFAULTS["base_seed"])
-    p.add_argument("--threads", type=int, default=d if suppress else 1)
     p.add_argument("--out", default=d, help="write output to this file")
 
 
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=_DEFAULTS["seed_count"], dest="seed_count",
                    help="seeds per cell")
     _add_fields(p, [name for names in KIND_FIELDS.values() for name in names])
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     for command, kind in _CELL_KINDS.items():
         p = sub.add_parser(command, parents=[globals_parent],
@@ -140,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[globals_parent], help="re-run and compare golden CSVs")
     p.add_argument("directory")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     return parser
 

@@ -77,14 +77,13 @@ def is_good(
 ) -> Optional[GoodnessCertificate]:
     """Certificate when v is good, else None.  Absent vertices are
     never good (they have no open edges)."""
-    if not sample.vertex_present(v):
-        return None
+    masks = sample.open_neighbor_masks_array()
     a_bits = _coord_mask(partition.a_coords)
     witnesses = set()
-    first = sample.open_neighbor_mask(v) & a_bits
+    first = int(masks[v]) & a_bits
     for a1 in bit_indices(first):
         mid = v ^ (1 << a1)
-        second = sample.open_neighbor_mask(mid) & a_bits & ~(1 << a1)
+        second = int(masks[mid]) & a_bits & ~(1 << a1)
         for a2 in bit_indices(second):
             witnesses.add(mid ^ (1 << a2))
     if len(witnesses) < 2 * partition.m:
@@ -99,28 +98,16 @@ def build_good_map(
     B-coordinate, lowest coordinate winning; x itself is not a
     candidate.  Returns the bad-vertex report when any x has none."""
     nv = sample.shape.vertex_count
-    b_coords = sorted(partition.b_coords)
-    cache = np.full(nv, -1, dtype=np.int8)
-    image = np.zeros(nv, dtype=np.int64)
-    bad = []
-    for x in range(nv):
-        chosen = -1
-        for b in b_coords:
-            cand = x ^ (1 << b)
-            state = cache[cand]
-            if state < 0:
-                state = 1 if is_good(sample, cand, partition) else 0
-                cache[cand] = state
-            if state:
-                chosen = cand
-                break
-        if chosen < 0:
-            bad.append(x)
-        else:
-            image[x] = chosen
-    if bad:
-        return FailureReport(np.array(bad, dtype=np.int64))
-    return VertexMap(image)
+    good = np.fromiter(
+        (is_good(sample, v, partition) is not None for v in range(nv)), dtype=bool, count=nv
+    )
+    x = np.arange(nv, dtype=np.int64)
+    image = np.full(nv, -1, dtype=np.int64)
+    for b in sorted(partition.b_coords, reverse=True):
+        cand = x ^ (1 << b)
+        image = np.where(good[cand], cand, image)
+    bad = np.flatnonzero(image < 0)
+    return FailureReport(bad) if len(bad) else VertexMap(image)
 
 
 def find_open_path(

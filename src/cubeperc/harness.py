@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -413,6 +414,8 @@ def verify_goldens(directory: str, threads: int = 1) -> GoldenReport:
             fresh = run_sweep(config, threads=threads)
             detail = _compare_csv(golden, fresh, _tolerances_from_csv(golden))
         except Exception as exc:
-            detail = f"{type(exc).__name__}: {exc}"
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+            detail = f"{type(exc).__name__}: {exc} ({where})"
         report.checks.append(GoldenCheck(name, detail == "", detail))
     return report

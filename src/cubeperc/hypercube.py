@@ -152,10 +152,6 @@ class CoordinatePartition:
         if set(everything) != set(range(self.n)):
             raise InvalidSpec("partition must cover coordinates [0, n) exactly")
 
-    @property
-    def all_c_coords(self) -> frozenset[int]:
-        return frozenset(c for blk in self.c_blocks for c in blk)
-
 
 def choose_block_count(alpha: float) -> int:
     """Smallest l with (1 - 2*alpha) * l > 9 * alpha."""

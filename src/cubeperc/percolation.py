@@ -35,7 +35,7 @@ from .errors import (
     NotAdjacent,
     VersionMismatch,
 )
-from .hypercube import CubeShape, edge_between, edge_from_index
+from .hypercube import CubeShape, edge_between
 
 M64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -120,10 +120,6 @@ class CounterStream:
             v = self.next_u64()
             if v < limit:
                 return v % bound
-
-    def chance(self, p: float) -> bool:
-        t = quantize_probability(p)
-        return self.next_u64() < t
 
 
 @dataclass(frozen=True)
@@ -233,40 +229,11 @@ class PercolationSample:
     def vertex_present(self, v: int) -> bool:
         return self._vertex_draw(v)
 
-    def edge_open_index(self, idx: int) -> bool:
-        if not self._edge_draw(idx):
-            return False
-        if self.model.has_site_draws:
-            u, w = edge_from_index(self.shape, idx).endpoints()
-            return self._vertex_draw(u) and self._vertex_draw(w)
-        return True
-
     def edge_open(self, u: int, v: int) -> bool:
         e = edge_between(u, v)  # raises NotAdjacent when it must
         if not self._edge_draw(e.index(self.shape)):
             return False
         return self._vertex_draw(u) and self._vertex_draw(v)
-
-    def open_neighbor_mask(self, v: int) -> int:
-        """Bit c set iff the edge from v along coordinate c is open."""
-        if self._mask_cache is not None:
-            return int(self._mask_cache[v])
-        if not self._vertex_draw(v):
-            return 0
-        mask = 0
-        for c in range(self.shape.n):
-            if self.edge_open(v, v ^ (1 << c)):
-                mask |= 1 << c
-        return mask
-
-    def open_degree(self, v: int, coords: Optional[frozenset] = None) -> int:
-        mask = self.open_neighbor_mask(v)
-        if coords is not None:
-            filt = 0
-            for c in coords:
-                filt |= 1 << c
-            mask &= filt
-        return mask.bit_count()
 
     # -- bulk views ----------------------------------------------------
 

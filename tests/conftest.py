@@ -11,9 +11,12 @@ import itertools
 from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from cubeperc.embedding import FailureReport, is_good
 from cubeperc.hypercube import CubeShape
+from cubeperc.metrics import VertexMap
 from cubeperc.percolation import PercModel, sample
 
 # one line per acceptance gate, echoed at the end of the run so the
@@ -101,6 +104,32 @@ def oracle_min_distortion(sm) -> tuple[list[int], float, float, float]:
         if best is None or d < best[3]:
             best = (list(image), d_plus, d_minus, d)
     return best
+
+
+def oracle_good_map(sm, partition):
+    """The good map by a scan over source vertices: each x takes the
+    first good x ^ (1 << b) over ascending B coordinates, goodness
+    memoised per candidate; a FailureReport lists every x with none."""
+    nv = sm.shape.vertex_count
+    cache = np.full(nv, -1, dtype=np.int8)
+    image = np.zeros(nv, dtype=np.int64)
+    bad = []
+    for x in range(nv):
+        chosen = -1
+        for b in sorted(partition.b_coords):
+            cand = x ^ (1 << b)
+            if cache[cand] < 0:
+                cache[cand] = is_good(sm, cand, partition) is not None
+            if cache[cand]:
+                chosen = cand
+                break
+        if chosen < 0:
+            bad.append(x)
+        else:
+            image[x] = chosen
+    if bad:
+        return FailureReport(np.array(bad, dtype=np.int64))
+    return VertexMap(image)
 
 
 def open_graph(sm) -> nx.Graph:

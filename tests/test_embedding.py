@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_good_map
 from cubeperc.embedding import (
     FailureReport,
+    GoodnessCertificate,
     analytic_moments,
     build_good_map,
     find_open_path,
@@ -27,7 +29,7 @@ from cubeperc.hypercube import (
     make_partition,
 )
 from cubeperc.metrics import VertexMap, components
-from cubeperc.percolation import PercModel, mix64, quantize_probability, sample
+from cubeperc.percolation import CounterStream, PercModel, mix64, quantize_probability, sample
 
 
 def n16_partition():
@@ -54,6 +56,31 @@ class TestIsGood:
     def test_absent_vertex_not_good(self):
         sm = sample(CubeShape(16), PercModel.site(0.0), 0)
         assert is_good(sm, 0, n16_partition()) is None
+
+    @pytest.mark.parametrize("model", [PercModel.bond(0.9), PercModel.site(0.9)], ids=["bond", "site"])
+    def test_matches_edge_open_witness_count(self, model):
+        # witnesses straight from the definition, one edge query at a time
+        part = n16_partition()
+        sm = sample(CubeShape(16), model, 1)
+        stream = CounterStream(2)
+        verdicts = set()
+        for _ in range(100):
+            v = stream.below(1 << 16)
+            witnesses = {
+                v ^ (1 << a1) ^ (1 << a2)
+                for a1 in part.a_coords
+                for a2 in part.a_coords
+                if a1 != a2
+                and sm.edge_open(v, v ^ (1 << a1))
+                and sm.edge_open(v ^ (1 << a1), v ^ (1 << a1) ^ (1 << a2))
+            }
+            cert = is_good(sm, v, part)
+            good = len(witnesses) >= 2 * part.m
+            assert (cert is not None) == good
+            if good:
+                assert cert == GoodnessCertificate(v, frozenset(witnesses))
+            verdicts.add(good)
+        assert verdicts == {True, False}
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 2**16 - 1))
@@ -107,6 +134,45 @@ class TestBuildGoodMap:
             fx = int(built.image[x])
             assert fx != x
             assert is_good(sm, fx, part) is not None
+
+
+def assert_same_build(got, want):
+    assert type(got) is type(want)
+    got = got.image if isinstance(got, VertexMap) else got.bad_vertices
+    want = want.image if isinstance(want, VertexMap) else want.bad_vertices
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestGoodMapOracle:
+    @pytest.mark.parametrize(
+        "model, built",
+        [
+            (PercModel.bond(0.9), False),
+            (PercModel.bond(0.95), True),
+            (PercModel.site(0.9), False),
+            (PercModel.site(0.95), False),
+        ],
+        ids=["bond-0.9", "bond-0.95", "site-0.9", "site-0.95"],
+    )
+    def test_n16_matches_loop(self, model, built):
+        part = n16_partition()
+        sm = sample(CubeShape(16), model, 1)
+        got = build_good_map(sm, part)
+        assert isinstance(got, VertexMap) == built
+        assert_same_build(got, oracle_good_map(sm, part))
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_small_cubes_fail_like_loop(self, n):
+        shape = CubeShape(n)
+        for alpha in (0.01, 0.05, 0.25):
+            part = make_partition(shape, alpha)
+            for model in (PercModel.bond(n**-alpha), PercModel.site(n**-alpha)):
+                for seed in range(3):
+                    sm = sample(shape, model, seed)
+                    got = build_good_map(sm, part)
+                    assert isinstance(got, FailureReport)
+                    assert_same_build(got, oracle_good_map(sm, part))
 
 
 class TestFindOpenPath:

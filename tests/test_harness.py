@@ -131,6 +131,7 @@ class TestSweepCsv:
         assert not report.passed
         assert report.summary().startswith("FAIL m.csv")
         assert "TypeError" in report.checks[0].detail
+        assert "test_harness.py:" in report.checks[0].detail
 
     def test_reruns_are_byte_identical(self):
         cfg = SweepConfig(
@@ -239,6 +240,16 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(["sample", "-n", "4", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_threads_only_on_sweep_and_verify(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "-n", "4", "--threads", "2"])
+        assert exc.value.code == 2
+        sweep = ["sweep", "--kind", "moments", "-n", "6", "--seeds", "2", "-l", "1", "--trials", "50"]
+        assert main(sweep + ["--threads", "1"]) == 0
+        one = capsys.readouterr().out
+        assert main(sweep + ["--threads", "2"]) == 0
+        assert capsys.readouterr().out == one
 
     def test_sweep_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -100,15 +100,6 @@ def test_edge_open_rejects_equal_vertices():
         sm.edge_open(5, 5)
 
 
-def test_open_degree_filters():
-    shape = CubeShape(6)
-    sm = sample(shape, PercModel.bond(1.0), 0)
-    assert sm.open_degree(0) == 6
-    assert sm.open_degree(0, coords=frozenset({1, 3})) == 2
-    empty = sample(shape, PercModel.bond(0.0), 0)
-    assert empty.open_degree(0) == 0
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 8), st.floats(0.1, 0.9), st.integers(0, 2**32))
 def test_lazy_matches_materialized(n, p, seed):
@@ -128,18 +119,17 @@ def test_site_model_needs_both_endpoints(n, p, seed):
         assert sm.vertex_present(v) and sm.vertex_present(w)
 
 
-def test_masks_array_agrees_with_scalar():
-    sm = sample(CubeShape(7), PercModel.bond(0.4), 11)
+@pytest.mark.parametrize(
+    "model",
+    [PercModel.bond(0.4), PercModel.site(0.6), PercModel.mixed(0.7, 0.6)],
+    ids=["bond", "site", "mixed"],
+)
+def test_masks_array_matches_edge_open(model):
+    sm = sample(CubeShape(7), model, 11)
     masks = sm.open_neighbor_masks_array()
     for v in range(sm.shape.vertex_count):
-        assert int(masks[v]) == sm.open_neighbor_mask(v)
-
-
-def test_masks_array_site_model():
-    sm = sample(CubeShape(6), PercModel.site(0.6), 4)
-    masks = sm.open_neighbor_masks_array()
-    for v in range(sm.shape.vertex_count):
-        assert int(masks[v]) == sm.open_neighbor_mask(v)
+        for c in range(sm.shape.n):
+            assert bool(masks[v] >> c & 1) == sm.edge_open(v, v ^ (1 << c))
 
 
 def test_vertex_draw_offset_is_edge_count():
