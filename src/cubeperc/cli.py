@@ -102,27 +102,19 @@ def _add_fields(p: argparse.ArgumentParser, names) -> None:
         p.add_argument(flag, type=int, default=_DEFAULTS[name])
 
 
-def _global_flags(p: argparse.ArgumentParser, *, suppress: bool) -> None:
-    # declared on the root parser with real defaults and on every
-    # subparser with SUPPRESS, so the flags work on either side of the
-    # subcommand without the subparser default clobbering the root value
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--seed", type=int, default=d if suppress else _DEFAULTS["base_seed"])
-    p.add_argument("--out", default=d, help="write output to this file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cubeperc")
-    _global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    globals_parent = argparse.ArgumentParser(add_help=False)
-    _global_flags(globals_parent, suppress=True)
+    # every command but verify draws from a seed and can write a file
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=_DEFAULTS["base_seed"])
+    seeded.add_argument("--out", help="write output to this file")
 
-    p = sub.add_parser("sample", parents=[globals_parent], help="draw one sample, optionally save it")
+    p = sub.add_parser("sample", parents=[seeded], help="draw one sample, optionally save it")
     _add_common(p)
     p.add_argument("--max-n", type=int, default=DEFAULT_DIMENSION_CAP, help="runtime dimension cap")
 
-    p = sub.add_parser("sweep", parents=[globals_parent], help="run a parameter sweep, emit CSV")
+    p = sub.add_parser("sweep", parents=[seeded], help="run a parameter sweep, emit CSV")
     p.add_argument("--kind", choices=list(KINDS), required=True)
     p.add_argument("-n", type=int, action="append", required=True, dest="n_list", metavar="N")
     p.add_argument("--alpha", type=float, action="append", dest="alpha_list", metavar="ALPHA")
@@ -133,12 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     for command, kind in _CELL_KINDS.items():
-        p = sub.add_parser(command, parents=[globals_parent],
+        p = sub.add_parser(command, parents=[seeded],
                            help=f"run one {kind} sweep cell with cell seed --seed, print its row")
         _add_common(p)
         _add_fields(p, KIND_FIELDS[kind])
 
-    p = sub.add_parser("verify", parents=[globals_parent], help="re-run and compare golden CSVs")
+    p = sub.add_parser("verify", help="re-run and compare golden CSVs")
     p.add_argument("directory")
     p.add_argument("--threads", type=int, default=1, help="worker processes")
 

@@ -31,11 +31,10 @@ from .hypercube import (
 )
 from .metrics import VertexMap, bounded_distance, components
 from .percolation import (
-    ALWAYS,
     CounterStream,
     PercModel,
     PercolationSample,
-    _mix64_grid,
+    draws_below,
     mix64,
     vertex_draw_offset,
 )
@@ -220,22 +219,14 @@ def mc_open_path_count(
     counts = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        block = seeds[start:stop]
-        open_edges = _open_grid(block, edge_ids, model.bond_threshold)
+        block = seeds[start:stop, None]
+        open_edges = draws_below(block, edge_ids, model.bond_threshold)
         ok = open_edges[:, epaths].all(axis=2)
         if model.has_site_draws:
-            present = _open_grid(block, vdraw_ids, model.site_threshold)
+            present = draws_below(block, vdraw_ids, model.site_threshold)
             ok &= present[:, vpaths].all(axis=2)
         counts[start:stop] = ok.sum(axis=1)
     return counts
-
-
-def _open_grid(seeds: np.ndarray, indices: np.ndarray, threshold: int) -> np.ndarray:
-    if threshold >= ALWAYS:
-        return np.ones((len(seeds), len(indices)), dtype=bool)
-    if threshold <= 0:
-        return np.zeros((len(seeds), len(indices)), dtype=bool)
-    return _mix64_grid(seeds, indices) < np.uint64(threshold)
 
 
 @dataclass

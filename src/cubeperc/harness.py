@@ -16,9 +16,11 @@ import io
 import json
 import math
 import os
+import re
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from concurrent.futures.process import _RemoteTraceback
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .cycles import cycle_count_bound, find_cycles_near
@@ -55,6 +57,7 @@ KIND_FIELDS = {
     "route": ("routes", "radius_budget", "query_budget"),
     "moments": ("l", "trials"),
 }
+_PER_KIND_FIELDS = {name for names in KIND_FIELDS.values() for name in names}
 
 # absolute tolerances used by verify_goldens for columns that aggregate
 # floating-point sums (guards against cross-platform summation drift);
@@ -93,6 +96,12 @@ class SweepConfig:
         self.alpha_list = tuple(float(a) for a in self.alpha_list)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; choose from {KINDS}")
+        # a field another kind reads must keep its default, so that the
+        # config line never records a setting the cells ignored
+        unread = _PER_KIND_FIELDS - set(KIND_FIELDS[self.kind])
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.kind} sweeps do not read {f.name}")
         for n in self.n_list:
             if not 1 <= n <= 30:
                 raise ConfigError(f"n must lie in [1, 30], got {n}")
@@ -147,7 +156,7 @@ def _fmt(value) -> str:
 
 
 def _row_neighbor_dist(config, shape, model, seed, alpha):
-    sm = sample(shape, model, seed, mode="materialized")
+    sm = sample(shape, model, seed)
     labeling = components(sm)
     stats = neighbor_distance_stats(
         sm, config.pairs, config.cutoff, mix64(seed, _TAG_PAIRS),
@@ -162,7 +171,7 @@ def _row_neighbor_dist(config, shape, model, seed, alpha):
 
 
 def _row_distortion(config, shape, model, seed, alpha):
-    sm = sample(shape, model, seed, mode="materialized")
+    sm = sample(shape, model, seed)
     built = build_good_map(sm, make_partition(shape, alpha))
     if isinstance(built, VertexMap):
         mode = "exact" if shape.n <= EXACT_CAP_DEFAULT else "sampled"
@@ -190,7 +199,7 @@ def _row_distortion(config, shape, model, seed, alpha):
 
 
 def _row_cycle_census(config, shape, model, seed, alpha):
-    sm = sample(shape, model, seed, mode="materialized")
+    sm = sample(shape, model, seed)
     res = find_cycles_near(
         sm, 0, config.max_length, config.radius,
         budget=config.budget, count_only=True,
@@ -204,7 +213,7 @@ def _row_cycle_census(config, shape, model, seed, alpha):
 
 
 def _row_route(config, shape, model, seed, alpha):
-    sm = sample(shape, model, seed, mode="materialized")
+    sm = sample(shape, model, seed)
     stream = CounterStream(mix64(seed, _TAG_ROUTE))
     nv = shape.vertex_count
     radius_budget = config.radius_budget or 2 * shape.n
@@ -396,6 +405,18 @@ def _compare_csv(golden: str, fresh: str, tolerances: dict[str, float]) -> str:
     return ""
 
 
+def _raise_site(exc: Exception) -> str:
+    """file:line of the innermost frame that raised exc.  An exception
+    re-raised from a worker process keeps the worker's traceback only as
+    text in its __cause__, so the site is read from that text."""
+    if isinstance(exc.__cause__, _RemoteTraceback):
+        filename, lineno = re.findall(r'File "(.+)", line (\d+)', exc.__cause__.tb)[-1]
+    else:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        filename, lineno = frame.filename, frame.lineno
+    return f"{os.path.basename(filename)}:{lineno}"
+
+
 def verify_goldens(directory: str, threads: int = 1) -> GoldenReport:
     """Re-run the config embedded in every golden CSV under directory
     and compare, column tolerances honored."""
@@ -414,8 +435,6 @@ def verify_goldens(directory: str, threads: int = 1) -> GoldenReport:
             fresh = run_sweep(config, threads=threads)
             detail = _compare_csv(golden, fresh, _tolerances_from_csv(golden))
         except Exception as exc:
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
-            where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
-            detail = f"{type(exc).__name__}: {exc} ({where})"
+            detail = f"{type(exc).__name__}: {exc} ({_raise_site(exc)})"
         report.checks.append(GoldenCheck(name, detail == "", detail))
     return report

@@ -4,9 +4,9 @@ Openness is a pure function of (seed, index): an edge with linear index
 k is open when mix64(seed, k) < floor(p * 2^64), where mix64 is the
 SplitMix64 finalizer applied to (seed XOR golden-ratio-scrambled index).
 Vertex draws for site and mixed models use the disjoint index space
-starting at n * 2^(n-1).  Everything is bit-exact across platforms and
-identical between the materialized and lazy query paths; p = 1 yields
-threshold 2^64 which no 64-bit draw can reach, i.e. always open.
+starting at n * 2^(n-1).  Everything is bit-exact across platforms;
+p = 1 yields threshold 2^64 which no 64-bit draw can reach, i.e. always
+open.
 
 Serialized form (little-endian):
 
@@ -60,29 +60,24 @@ def mix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(seed: int, indices: np.ndarray) -> np.ndarray:
-    z = (indices.astype(np.uint64) * np.uint64(GOLDEN)) ^ np.uint64(seed & M64)
+def _mix64_array(seed, indices: np.ndarray) -> np.ndarray:
+    """mix64 elementwise.  seed is an int or a uint64 array that
+    broadcasts against indices (a column of seeds gives a grid)."""
+    if not isinstance(seed, np.ndarray):
+        seed = np.uint64(seed & M64)
+    z = (indices.astype(np.uint64) * np.uint64(GOLDEN)) ^ seed
     z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_B)
     return z ^ (z >> np.uint64(31))
 
 
-def _mix64_grid(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """mix64 over the outer product: rows are seeds, columns are indices."""
-    z = (indices.astype(np.uint64) * np.uint64(GOLDEN))[None, :] ^ seeds.astype(
-        np.uint64
-    )[:, None]
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_B)
-    return z ^ (z >> np.uint64(31))
-
-
-def draws_below(seed: int, indices: np.ndarray, threshold: int) -> np.ndarray:
-    """Boolean array: draw at each index succeeds against threshold."""
-    if threshold >= ALWAYS:
-        return np.ones(len(indices), dtype=bool)
-    if threshold <= 0:
-        return np.zeros(len(indices), dtype=bool)
+def draws_below(seed, indices: np.ndarray, threshold: int) -> np.ndarray:
+    """Boolean array: draw at each index succeeds against threshold.
+    seed broadcasts as in _mix64_array, and so does the result."""
+    if threshold >= ALWAYS or threshold <= 0:
+        # p = 1 or p = 0: every draw succeeds, or none does
+        shape = np.broadcast_shapes(np.shape(seed), np.shape(indices))
+        return np.full(shape, threshold > 0)
     return _mix64_array(seed, indices) < np.uint64(threshold)
 
 
@@ -113,8 +108,6 @@ class CounterStream:
         """Uniform integer in [0, bound), exact via rejection."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        if bound & (bound - 1) == 0:
-            return self.next_u64() & (bound - 1)
         limit = (ALWAYS // bound) * bound
         while True:
             v = self.next_u64()
@@ -177,18 +170,19 @@ def vertex_draw_offset(shape: CubeShape) -> int:
 
 
 class PercolationSample:
-    """One percolation outcome for (shape, model, seed).
+    """One percolation outcome for (shape, model, seed), held as packed
+    draw bitsets: edge draws always, vertex draws for site and mixed."""
 
-    Materialized samples hold packed draw bitsets; lazy samples answer
-    each query by hashing.  Both give identical answers.
-    """
+    # read by the benchmark's draw counter (perfbench/tracing.py); every
+    # sample holds its bitsets, so this is the only value it can take
+    mode = "materialized"
 
     def __init__(
         self,
         shape: CubeShape,
         model: PercModel,
         seed: int,
-        edge_bits: Optional[np.ndarray] = None,
+        edge_bits: np.ndarray,
         vertex_bits: Optional[np.ndarray] = None,
     ):
         self.shape = shape
@@ -199,32 +193,15 @@ class PercolationSample:
         self._present_cache: Optional[np.ndarray] = None
         self._mask_cache: Optional[np.ndarray] = None
 
-    # -- construction -------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        return "materialized" if self._edge_bits is not None else "lazy"
-
-    def materialize(self) -> "PercolationSample":
-        if self.mode == "materialized":
-            return self
-        return _materialize(self.shape, self.model, self.seed)
-
     # -- single queries ------------------------------------------------
 
     def _edge_draw(self, idx: int) -> bool:
-        if self._edge_bits is not None:
-            return bool((self._edge_bits[idx >> 3] >> (idx & 7)) & 1)
-        t = self.model.bond_threshold
-        return t >= ALWAYS or mix64(self.seed, idx) < t
+        return bool((self._edge_bits[idx >> 3] >> (idx & 7)) & 1)
 
     def _vertex_draw(self, v: int) -> bool:
         if not self.model.has_site_draws:
             return True
-        if self._vertex_bits is not None:
-            return bool((self._vertex_bits[v >> 3] >> (v & 7)) & 1)
-        t = self.model.site_threshold
-        return t >= ALWAYS or mix64(self.seed, vertex_draw_offset(self.shape) + v) < t
+        return bool((self._vertex_bits[v >> 3] >> (v & 7)) & 1)
 
     def vertex_present(self, v: int) -> bool:
         return self._vertex_draw(v)
@@ -244,15 +221,8 @@ class PercolationSample:
         nv = self.shape.vertex_count
         if not self.model.has_site_draws:
             out = np.ones(nv, dtype=bool)
-        elif self._vertex_bits is not None:
-            out = np.unpackbits(self._vertex_bits, count=nv, bitorder="little").astype(bool)
         else:
-            out = np.empty(nv, dtype=bool)
-            off = vertex_draw_offset(self.shape)
-            for s in range(0, nv, _CHUNK):
-                e = min(s + _CHUNK, nv)
-                idx = np.arange(off + s, off + e, dtype=np.uint64)
-                out[s:e] = draws_below(self.seed, idx, self.model.site_threshold)
+            out = np.unpackbits(self._vertex_bits, count=nv, bitorder="little").astype(bool)
         self._present_cache = out
         return out
 
@@ -261,17 +231,10 @@ class PercolationSample:
         indexed by compressed base id."""
         half = 1 << (self.shape.n - 1)
         start = coord * half
-        if self._edge_bits is not None:
-            lo, hi = start >> 3, (start + half + 7) >> 3
-            bits = np.unpackbits(self._edge_bits[lo:hi], bitorder="little")
-            skip = start - (lo << 3)
-            return bits[skip : skip + half].astype(bool)
-        out = np.empty(half, dtype=bool)
-        for s in range(0, half, _CHUNK):
-            e = min(s + _CHUNK, half)
-            idx = np.arange(start + s, start + e, dtype=np.uint64)
-            out[s:e] = draws_below(self.seed, idx, self.model.bond_threshold)
-        return out
+        lo, hi = start >> 3, (start + half + 7) >> 3
+        bits = np.unpackbits(self._edge_bits[lo:hi], bitorder="little")
+        skip = start - (lo << 3)
+        return bits[skip : skip + half].astype(bool)
 
     def open_edge_endpoints(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Per coordinate, (base, other) vertex arrays of the open edges."""
@@ -309,12 +272,11 @@ class PercolationSample:
     # -- serialization ---------------------------------------------------
 
     def serialize(self) -> bytes:
-        mat = self.materialize()
-        model = mat.model
+        model = self.model
         head = bytearray()
         head += FORMAT_MAGIC
         head += struct.pack("<H", FORMAT_VERSION)
-        head += struct.pack("<B", mat.shape.n)
+        head += struct.pack("<B", self.shape.n)
         head += struct.pack("<B", model.tag)
         fields = {
             "bond": (model.bond_threshold,),
@@ -323,21 +285,11 @@ class PercolationSample:
         }[model.kind]
         for t in fields:
             head += struct.pack("<Q", THRESHOLD_SENTINEL if t >= ALWAYS else t)
-        head += struct.pack("<Q", mat.seed)
-        out = bytes(head) + mat._edge_bits.tobytes()
+        head += struct.pack("<Q", self.seed)
+        out = bytes(head) + self._edge_bits.tobytes()
         if model.has_site_draws:
-            out += mat._vertex_bits.tobytes()
+            out += self._vertex_bits.tobytes()
         return out
-
-
-def _materialize(shape: CubeShape, model: PercModel, seed: int) -> PercolationSample:
-    ne = shape.edge_count
-    edge_bits = _draw_bitset(seed, 0, ne, model.bond_threshold)
-    vertex_bits = None
-    if model.has_site_draws:
-        off = vertex_draw_offset(shape)
-        vertex_bits = _draw_bitset(seed, off, shape.vertex_count, model.site_threshold)
-    return PercolationSample(shape, model, seed, edge_bits, vertex_bits)
 
 
 def _draw_bitset(seed: int, offset: int, count: int, threshold: int) -> np.ndarray:
@@ -355,7 +307,6 @@ def sample(
     shape: CubeShape,
     model: PercModel,
     seed: int,
-    mode: str = "materialized",
     max_n: int = DEFAULT_DIMENSION_CAP,
 ) -> PercolationSample:
     """Draw one percolation sample.
@@ -365,11 +316,12 @@ def sample(
     """
     if shape.n > max_n:
         raise DimensionOverCap(f"n={shape.n} exceeds runtime cap {max_n}")
-    if mode == "materialized":
-        return _materialize(shape, model, seed)
-    if mode == "lazy":
-        return PercolationSample(shape, model, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    edge_bits = _draw_bitset(seed, 0, shape.edge_count, model.bond_threshold)
+    vertex_bits = None
+    if model.has_site_draws:
+        off = vertex_draw_offset(shape)
+        vertex_bits = _draw_bitset(seed, off, shape.vertex_count, model.site_threshold)
+    return PercolationSample(shape, model, seed, edge_bits, vertex_bits)
 
 
 def deserialize(data: bytes) -> PercolationSample:

@@ -263,7 +263,7 @@ def test_extraction_respects_distortion_bounds():
     t0 = time.perf_counter()
     rng = random.Random(5)
     full = {
-        n: sample(CubeShape(n), PercModel.bond(1.0), 0, mode="materialized")
+        n: sample(CubeShape(n), PercModel.bond(1.0), 0)
         for n in range(4, 9)
     }
     violations = 0
@@ -327,7 +327,7 @@ def test_good_map_failures_reported_and_large_n_builds():
     # near-full retention regime where the construction does land
     shape = CubeShape(16)
     part = make_partition(shape, 0.01)
-    sm = sample(shape, PercModel.bond(16**-0.01), 3, mode="materialized")
+    sm = sample(shape, PercModel.bond(16**-0.01), 3)
     built = build_good_map(sm, part)
     built_ok = isinstance(built, VertexMap)
     ok &= built_ok
@@ -355,7 +355,7 @@ def test_local_routing_optimal_and_regime_separated():
     routes_total = 0
     for seed in range(10):
         for alpha in (0.25, 0.75):
-            sm = sample(shape, PercModel.bond(float(n) ** -alpha), seed, mode="materialized")
+            sm = sample(shape, PercModel.bond(float(n) ** -alpha), seed)
             gmask = components(sm).giant_mask()
             giant = np.nonzero(gmask)[0]
             stream = CounterStream(mix64(seed, 999))
@@ -406,7 +406,7 @@ def test_giant_component_scale_and_reproducibility():
         from cubeperc.percolation import PercModel, sample
 
         start = time.perf_counter()
-        sm = sample(CubeShape(24), PercModel.bond(24 ** -0.75), 0, mode="materialized")
+        sm = sample(CubeShape(24), PercModel.bond(24 ** -0.75), 0)
         lab = components(sm)
         elapsed = time.perf_counter() - start
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -89,8 +89,8 @@ class TestIsGood:
         # goodness can only appear, never vanish
         part = n16_partition()
         shape = CubeShape(16)
-        lo = sample(shape, PercModel.bond(0.85), seed, mode="lazy")
-        hi = sample(shape, PercModel.bond(0.95), seed, mode="lazy")
+        lo = sample(shape, PercModel.bond(0.85), seed)
+        hi = sample(shape, PercModel.bond(0.95), seed)
         if is_good(lo, v, part) is not None:
             assert is_good(hi, v, part) is not None
 
@@ -267,10 +267,15 @@ class TestAnalyticMoments:
 
 
 class TestMonteCarlo:
-    def test_trials_replay_full_samples(self):
+    @pytest.mark.parametrize(
+        "model",
+        [PercModel.bond(0.45), PercModel.site(0.7), PercModel.mixed(0.7, 0.8)],
+        ids=["bond", "site", "mixed"],
+    )
+    def test_trials_replay_full_samples(self, model):
         spec = NeighborRetraceSpec(CubeShape(8), 0, 1, 2)
-        model = PercModel.bond(0.45)
         counts = mc_open_path_count(spec, model, 20, base_seed=11)
+        assert counts.any()
         for t in (0, 7, 19):
             sm = sample(CubeShape(8), model, mix64(11, t))
             manual = sum(
@@ -288,10 +293,11 @@ class TestMonteCarlo:
         se = math.sqrt((est.second_moment_exact - est.mean**2) / trials)
         assert abs(counts.mean() - est.mean) <= 4 * se
 
-    def test_p1_counts_family_size(self):
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_counts_at_p0_and_p1(self, p):
         spec = NeighborRetraceSpec(CubeShape(6), 0, 1, 2)
-        counts = mc_open_path_count(spec, PercModel.bond(1.0), 8, base_seed=0)
-        assert (counts == spec.family_size).all()
+        counts = mc_open_path_count(spec, PercModel.bond(p), 8, base_seed=0)
+        assert (counts == p * spec.family_size).all()
 
 
 class TestNeighborDistanceStats:

@@ -35,10 +35,10 @@ class TestSweepConfig:
             {"alpha_list": (-0.1,)},
             {"model": "oriented"},
             {"seed_count": -1},
-            {"pairs": 0},
+            {"kind": "neighbor_dist", "pairs": 0},
             {"trials": 0},
-            {"cutoff": -1},
-            {"budget": 0},
+            {"kind": "neighbor_dist", "cutoff": -1},
+            {"kind": "cycle_census", "budget": 0},
             # analytic_moments is the bond formula; site-model rows would
             # compare the MC mean against the wrong expectation
             {"model": "site"},
@@ -49,6 +49,13 @@ class TestSweepConfig:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             SweepConfig(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"pairs": 7}, {"cutoff": 3}, {"routes": 2}, {"budget": 5}, {"eval_pairs": 1}]
+    )
+    def test_rejects_fields_the_kind_does_not_read(self, kwargs):
+        with pytest.raises(ConfigError, match="moments sweeps do not read"):
+            SweepConfig(kind="moments", n_list=(6,), **kwargs)
 
     def test_cells_are_lexicographic(self):
         cfg = SweepConfig(
@@ -115,8 +122,10 @@ class TestSweepCsv:
 
     def test_bug_in_a_cell_propagates(self, tmp_path, monkeypatch):
         # only CubePercError outcomes belong in the error column; a bug
-        # must neither land in a CSV nor let verify bless a golden
-        cfg = SweepConfig(kind="moments", n_list=(6,), alpha_list=(0.25,), l=1, trials=50)
+        # must neither land in a CSV nor let verify bless a golden.  Two
+        # cells, so that threads=2 runs them in forked workers
+        cfg = SweepConfig(kind="moments", n_list=(6,), alpha_list=(0.25,), seed_count=2,
+                          l=1, trials=50)
         gold = tmp_path / "goldens"
         gold.mkdir()
         (gold / "m.csv").write_text(run_sweep(cfg), encoding="utf-8")
@@ -125,13 +134,14 @@ class TestSweepCsv:
             raise TypeError("unsupported operand")
 
         monkeypatch.setitem(harness._ROW_FNS, "moments", buggy)
-        with pytest.raises(TypeError):
-            run_sweep(cfg)
-        report = verify_goldens(str(gold))
-        assert not report.passed
-        assert report.summary().startswith("FAIL m.csv")
-        assert "TypeError" in report.checks[0].detail
-        assert "test_harness.py:" in report.checks[0].detail
+        for threads in (1, 2):
+            with pytest.raises(TypeError):
+                run_sweep(cfg, threads=threads)
+            report = verify_goldens(str(gold), threads=threads)
+            assert not report.passed
+            assert report.summary().startswith("FAIL m.csv")
+            assert "TypeError" in report.checks[0].detail
+            assert "test_harness.py:" in report.checks[0].detail
 
     def test_reruns_are_byte_identical(self):
         cfg = SweepConfig(
@@ -235,11 +245,14 @@ class TestCli:
         sm = deserialize(out.read_bytes())
         assert sm.shape.n == 4
 
-    def test_global_flags_accepted_on_either_side(self, capsys):
-        assert main(["--seed", "5", "sample", "-n", "4"]) == 0
-        first = capsys.readouterr().out
+    def test_seed_and_out_only_where_read(self, tmp_path, capsys):
+        for argv in (["verify", str(tmp_path), "--seed", "1"], ["verify", str(tmp_path), "--out", "f"],
+                     ["--seed", "5", "sample", "-n", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
         assert main(["sample", "-n", "4", "--seed", "5"]) == 0
-        assert capsys.readouterr().out == first
+        assert "seed=5" in capsys.readouterr().out
 
     def test_threads_only_on_sweep_and_verify(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -257,6 +270,11 @@ class TestCli:
                    "-l", "1", "--trials", "100", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("# schema: cubeperc/moments/v1")
+
+    def test_sweep_flag_the_kind_does_not_read_exits_2(self, capsys):
+        rc = main(["sweep", "--kind", "moments", "-n", "6", "--pairs", "7"])
+        assert rc == 2
+        assert "moments sweeps do not read pairs" in capsys.readouterr().err
 
     def test_sweep_cell_error_exits_1(self, capsys):
         rc = main(["sweep", "--kind", "distortion", "-n", "2",

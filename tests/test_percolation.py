@@ -100,14 +100,27 @@ def test_edge_open_rejects_equal_vertices():
         sm.edge_open(5, 5)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 8), st.floats(0.1, 0.9), st.integers(0, 2**32))
-def test_lazy_matches_materialized(n, p, seed):
-    shape = CubeShape(n)
-    model = PercModel.bond(p)
-    lazy = sample(shape, model, seed, mode="lazy")
-    mat = sample(shape, model, seed, mode="materialized")
-    assert open_edge_set(lazy) == open_edge_set(mat)
+@pytest.mark.parametrize(
+    "model",
+    [PercModel.bond(0.4), PercModel.site(0.6), PercModel.mixed(0.7, 0.6)],
+    ids=["bond", "site", "mixed"],
+)
+def test_draws_match_scalar_definition(model):
+    # the scalar mix64 is the oracle for the array kernel behind the bitsets:
+    # edge k is drawn at index k, vertex v at vertex_draw_offset + v
+    for n in range(2, 9):
+        shape = CubeShape(n)
+        off = vertex_draw_offset(shape)
+        for seed in (0, 12345, M64):
+            sm = sample(shape, model, seed)
+            edges = np.concatenate([sm.edge_draw_slice(c) for c in range(n)])
+            assert edges.tolist() == [
+                mix64(seed, k) < model.bond_threshold for k in range(shape.edge_count)
+            ]
+            assert sm.present_array().tolist() == [
+                not model.has_site_draws or mix64(seed, off + v) < model.site_threshold
+                for v in range(shape.vertex_count)
+            ]
 
 
 @settings(max_examples=25, deadline=None)
