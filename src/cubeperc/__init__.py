@@ -5,8 +5,8 @@ vertex by vertex) with counter-based draws, so a (model, seed) pair
 names one sample forever.  On top of that sit exact metric tools
 (components, BFS, distortion of vertex maps), the good-vertex embedding
 construction, path-family moment estimates, short-cycle censuses with
-analytic bounds, local routing, and a sweep harness with golden-file
-verification.
+an analytic count bound, local routing, and a sweep harness with
+golden-file verification.
 """
 
 from .cycles import (
@@ -15,14 +15,10 @@ from .cycles import (
     ExtractionResult,
     SimpleCycle,
     cycle_count_bound,
-    cycle_length_probability_bound,
-    cycle_probability_bound,
     double_factorial,
     extract_simple_cycle,
     find_cycles_near,
     image_walk,
-    impossibility_regime_ok,
-    walk_is_open,
 )
 from .embedding import (
     FailureReport,
@@ -31,7 +27,6 @@ from .embedding import (
     NeighborDistanceStats,
     analytic_moments,
     build_good_map,
-    find_open_path,
     is_good,
     mc_open_path_count,
     neighbor_distance_stats,
@@ -42,19 +37,14 @@ from .errors import (
     GiantTooSmall,
     MissingGolden,
     NotAdjacent,
-    OutOfRegime,
     SourceAbsent,
 )
 from .harness import GoldenReport, SweepConfig, run_sweep, verify_goldens
 from .hypercube import (
     CoordinatePartition,
     CubeShape,
-    EdgeId,
-    GoodPairSpec,
     NeighborRetraceSpec,
     bit_indices,
-    edge_between,
-    edge_from_index,
     edge_index,
     enumerate_paths,
     hamming,
@@ -68,7 +58,6 @@ from .metrics import (
     bounded_distance,
     brute_force_min_distortion,
     components,
-    diameter_lower_bound,
     evaluate_distortion,
 )
 from .percolation import (
@@ -93,19 +82,16 @@ __all__ = [
     "CubeShape",
     "CycleSearchResult",
     "DistortionReport",
-    "EdgeId",
     "ExtractionResult",
     "FailureReport",
     "GiantTooSmall",
     "GoldenReport",
-    "GoodPairSpec",
     "GoodnessCertificate",
     "MissingGolden",
     "MomentEstimate",
     "NeighborDistanceStats",
     "NeighborRetraceSpec",
     "NotAdjacent",
-    "OutOfRegime",
     "PercModel",
     "PercolationSample",
     "RouteTrace",
@@ -122,19 +108,13 @@ __all__ = [
     "build_good_map",
     "components",
     "cycle_count_bound",
-    "cycle_length_probability_bound",
-    "cycle_probability_bound",
     "deserialize",
-    "diameter_lower_bound",
     "double_factorial",
-    "edge_between",
-    "edge_from_index",
     "edge_index",
     "enumerate_paths",
     "evaluate_distortion",
     "extract_simple_cycle",
     "find_cycles_near",
-    "find_open_path",
     "hamming",
     "image_walk",
     "is_good",
@@ -145,7 +125,5 @@ __all__ = [
     "neighbor_distance_stats",
     "run_sweep",
     "sample",
-    "impossibility_regime_ok",
     "verify_goldens",
-    "walk_is_open",
 ]

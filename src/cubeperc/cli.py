@@ -21,7 +21,17 @@ import sys
 from dataclasses import fields
 
 from .errors import ConfigError, CubePercError
-from .harness import KIND_FIELDS, KINDS, SweepConfig, _fmt, cell_model, run_cell, run_sweep, verify_goldens
+from .harness import (
+    KIND_FIELDS,
+    KINDS,
+    SweepConfig,
+    _fmt,
+    cell_model,
+    check_cell_ranges,
+    run_cell,
+    run_sweep,
+    verify_goldens,
+)
 from .hypercube import CubeShape
 from .percolation import DEFAULT_DIMENSION_CAP, sample
 
@@ -52,6 +62,7 @@ def _sweep_config(args, **fixed) -> SweepConfig:
 
 
 def _cmd_sample(args) -> int:
+    check_cell_ranges((args.n,), (args.alpha,))
     model = cell_model(args.model, args.n, args.alpha)
     sm = sample(CubeShape(args.n), model, args.seed, max_n=args.max_n)
     if args.out:

@@ -1,6 +1,6 @@
 """Sub-critical machinery: extracting simple cycles from closed walks
 by loop removal, bounded simple-cycle search near a vertex, and the
-analytic cycle-count and cycle-probability bounds.
+analytic bound on the number of cycles through a vertex.
 
 The loop removal here is deliberately not the usual loop erasure.  At
 each step, every repeated vertex u determines the minimal contiguous
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import ImagesDisconnected, OutOfRegime
+from .errors import ImagesDisconnected
 from .metrics import VertexMap, bfs
 from .percolation import PercolationSample
 
@@ -40,10 +40,6 @@ class ClosedWalk:
         for pos in self.anchors:
             if not 0 <= pos < len(self.vertices):
                 raise ValueError(f"anchor position {pos} out of range")
-
-    @property
-    def step_count(self) -> int:
-        return len(self.vertices) - 1
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,6 @@ class SimpleCycle:
                 if best is None or rot < best:
                     best = rot
         return best
-
-
-def walk_is_open(walk: ClosedWalk, sample: PercolationSample) -> bool:
-    vs = walk.vertices
-    return all(sample.edge_open(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
 
 
 def image_walk(
@@ -317,7 +308,7 @@ def find_cycles_near(
 
 
 # ---------------------------------------------------------------------------
-# analytic bounds
+# analytic bound
 
 
 def double_factorial(k: int) -> int:
@@ -339,59 +330,3 @@ def cycle_count_bound(n: int, l: int) -> float:
     if log_bound > 700:
         return math.inf
     return math.exp(log_bound)
-
-
-def cycle_length_probability_bound(n: int, alpha: float, l: int) -> float:
-    """Union bound (2l-1)!! (n^(1-2alpha))^l on the probability that a
-    fixed vertex lies in an open cycle of length 2l."""
-    if l < 1:
-        raise ValueError("l must be positive")
-    log_df = math.lgamma(2 * l + 1) - l * math.log(2) - math.lgamma(l + 1)
-    log_bound = log_df + l * (1 - 2 * alpha) * math.log(n)
-    if log_bound > 700:
-        return math.inf
-    return math.exp(log_bound)
-
-
-def cycle_probability_bound(
-    n: int, alpha: float, beta: float, gamma: float, delta: int
-) -> float:
-    """Probability bound n^(delta + 1 + n^beta (beta + 1 - 2 alpha))
-    that a vertex is within distance delta of an open simple cycle of
-    length in [2 n^beta, 2 n^gamma].
-
-    The per-length bound decreases in l only while 2l < n^(2 alpha -1),
-    so the summed form requires 2 n^gamma < n^(2 alpha - 1); along with
-    alpha > 1/2, 0 < beta <= gamma, beta + gamma < 2 alpha - 1, and
-    delta >= 0, anything else is out of regime.
-    """
-    if n < 2:
-        raise OutOfRegime("need n >= 2")
-    if alpha <= 0.5:
-        raise OutOfRegime(f"alpha must exceed 1/2, got {alpha}")
-    if not 0 < beta <= gamma:
-        raise OutOfRegime(f"need 0 < beta <= gamma, got beta={beta} gamma={gamma}")
-    if beta + gamma >= 2 * alpha - 1:
-        raise OutOfRegime(
-            f"need beta + gamma < 2 alpha - 1, got {beta + gamma} vs {2 * alpha - 1}"
-        )
-    if delta < 0:
-        raise OutOfRegime("delta must be nonnegative")
-    if math.log(2) + gamma * math.log(n) >= (2 * alpha - 1) * math.log(n):
-        raise OutOfRegime(
-            "summed bound needs 2 n^gamma < n^(2 alpha - 1); "
-            f"violated at n={n}, gamma={gamma}, alpha={alpha}"
-        )
-    exponent = delta + 1 + n**beta * (beta + 1 - 2 * alpha)
-    return float(n) ** exponent
-
-
-def impossibility_regime_ok(alpha: float, beta: float, gamma: float) -> bool:
-    """The sub-critical impossibility argument additionally needs
-    gamma > 3 beta; the probability bound itself does not."""
-    return (
-        alpha > 0.5
-        and 0 < beta
-        and gamma > 3 * beta
-        and beta + gamma < 2 * alpha - 1
-    )

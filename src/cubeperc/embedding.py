@@ -1,6 +1,6 @@
 """Super-critical machinery: good-vertex detection, construction of the
-neighbor map f, open-path search over path families, analytic moments of
-open-path counts, and neighbor-distance statistics.
+neighbor map f, exact and Monte Carlo moments of the open-path count of
+the neighbor-retrace family, and neighbor-distance statistics.
 
 A vertex is good when at least 2m vertices, each differing from it in
 exactly two A-coordinates, are reachable by open 2-paths whose edges
@@ -12,7 +12,6 @@ expected outcome and is returned as a report, not raised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -22,9 +21,7 @@ from scipy.sparse import coo_matrix
 from .errors import GiantTooSmall
 from .hypercube import (
     CoordinatePartition,
-    GoodPairSpec,
     NeighborRetraceSpec,
-    PathFamilySpec,
     bit_indices,
     enumerate_paths,
     path_edge_indices,
@@ -40,6 +37,8 @@ from .percolation import (
 )
 
 SECOND_MOMENT_CAP = 10_000
+# Monte Carlo trials whose draws are evaluated as one array block
+MC_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -109,59 +108,32 @@ def build_good_map(
     return FailureReport(bad) if len(bad) else VertexMap(image)
 
 
-def find_open_path(
-    sample: PercolationSample, spec: PathFamilySpec
-) -> Optional[tuple[int, ...]]:
-    """First fully open path of the family in enumeration order."""
-    for path in enumerate_paths(spec):
-        if all(sample.edge_open(path[i], path[i + 1]) for i in range(len(path) - 1)):
-            return path
-    return None
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     """First and second moments of the open-path count of a family.
 
     second_moment_exact is None when the family was too large for the
-    pairwise shared-edge census; ratio_bound is the analytic bound on
-    (second moment)/(mean^2) and is always available.
+    pairwise shared-edge census.
     """
 
     family_size: int
     path_length: int
     mean: float
     second_moment_exact: Optional[float]
-    ratio_bound: float
 
 
-def _ratio_bound(spec: PathFamilySpec, p: float) -> float:
-    if p <= 0.0:
-        return math.inf
-    n = spec.shape.n
-    if isinstance(spec, NeighborRetraceSpec):
-        return 1.0 + 1.0 / (n * p * p)
-    if isinstance(spec, GoodPairSpec):
-        m, l = spec.partition.m, spec.partition.l
-        series = sum((p * p * m) ** (-k) for k in range(l))
-        return series + m ** (-l) * p ** (-spec.path_length)
-    raise TypeError(f"unknown path family {type(spec).__name__}")
-
-
-def analytic_moments(
-    spec: PathFamilySpec, p: float, *, census_cap: int = SECOND_MOMENT_CAP
-) -> MomentEstimate:
+def analytic_moments(spec: NeighborRetraceSpec, p: float) -> MomentEstimate:
     """Exact mean, and exact second moment by pairwise shared-edge
-    census when the family size is within census_cap."""
+    census when the family size is within SECOND_MOMENT_CAP."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     size = spec.family_size
     length = spec.path_length
     mean = size * p**length
     if p == 0.0:
-        return MomentEstimate(size, length, 0.0, 0.0, _ratio_bound(spec, p))
-    if size > census_cap:
-        return MomentEstimate(size, length, mean, None, _ratio_bound(spec, p))
+        return MomentEstimate(size, length, 0.0, 0.0)
+    if size > SECOND_MOMENT_CAP:
+        return MomentEstimate(size, length, mean, None)
 
     shape = spec.shape
     rows, cols = [], []
@@ -180,16 +152,11 @@ def analytic_moments(
         (size * size - len(s)) * p ** (2 * length)
         + np.power(p, 2 * length - s.astype(np.float64)).sum()
     )
-    return MomentEstimate(size, length, mean, second, _ratio_bound(spec, p))
+    return MomentEstimate(size, length, mean, second)
 
 
 def mc_open_path_count(
-    spec: PathFamilySpec,
-    model: PercModel,
-    trials: int,
-    base_seed: int,
-    *,
-    chunk: int = 512,
+    spec: NeighborRetraceSpec, model: PercModel, trials: int, base_seed: int
 ) -> np.ndarray:
     """Open-path count of the family across independent samples.
 
@@ -217,8 +184,8 @@ def mc_open_path_count(
 
     seeds = np.array([mix64(base_seed, t) for t in range(trials)], dtype=np.uint64)
     counts = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
+    for start in range(0, trials, MC_CHUNK):
+        stop = min(start + MC_CHUNK, trials)
         block = seeds[start:stop, None]
         open_edges = draws_below(block, edge_ids, model.bond_threshold)
         ok = open_edges[:, epaths].all(axis=2)

@@ -67,10 +67,6 @@ class ImagesDisconnected(CubePercError):
     """Consecutive images have no open path between them."""
 
 
-class OutOfRegime(CubePercError):
-    """Parameters violate the validity constraints of a bound."""
-
-
 class GiantTooSmall(CubePercError):
     """Giant component too small for the requested sampling plan."""
 

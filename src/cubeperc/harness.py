@@ -26,7 +26,7 @@ from typing import Optional
 from .cycles import cycle_count_bound, find_cycles_near
 from .embedding import analytic_moments, build_good_map, mc_open_path_count, neighbor_distance_stats
 from .errors import ConfigError, CubePercError, MissingGolden
-from .hypercube import CubeShape, NeighborRetraceSpec, make_partition
+from .hypercube import HARD_DIMENSION_CAP, CubeShape, NeighborRetraceSpec, make_partition
 from .metrics import EXACT_CAP_DEFAULT, VertexMap, bounded_distance, components, evaluate_distortion
 from .percolation import CounterStream, PercModel, mix64, sample
 from .routing import FOUND, audit_locality, local_route
@@ -102,12 +102,7 @@ class SweepConfig:
         for f in fields(self):
             if f.name in unread and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{self.kind} sweeps do not read {f.name}")
-        for n in self.n_list:
-            if not 1 <= n <= 30:
-                raise ConfigError(f"n must lie in [1, 30], got {n}")
-        for a in self.alpha_list:
-            if a < 0:
-                raise ConfigError(f"alpha must be nonnegative, got {a}")
+        check_cell_ranges(self.n_list, self.alpha_list)
         if self.model not in ("bond", "site"):
             raise ConfigError(f"model must be bond or site, got {self.model!r}")
         if self.kind == "moments" and self.model == "site":
@@ -133,6 +128,17 @@ class SweepConfig:
             for a in sorted(self.alpha_list)
             for j in range(self.seed_count)
         ]
+
+
+def check_cell_ranges(n_list, alpha_list) -> None:
+    """Raise ConfigError unless every n lies in [1, 30] and every alpha
+    is nonnegative (nan is not)."""
+    for n in n_list:
+        if not 1 <= n <= HARD_DIMENSION_CAP:
+            raise ConfigError(f"n must lie in [1, {HARD_DIMENSION_CAP}], got {n}")
+    for a in alpha_list:
+        if not a >= 0:
+            raise ConfigError(f"alpha must be nonnegative, got {a}")
 
 
 def cell_model(model: str, n: int, alpha: float) -> PercModel:
@@ -397,12 +403,19 @@ def _compare_csv(golden: str, fresh: str, tolerances: dict[str, float]) -> str:
     header = gr[0]
     for i, (grow, frow) in enumerate(zip(gr[1:], fr[1:]), start=1):
         for col, g, f in zip(header, grow, frow):
-            if col in tolerances and g and f:
-                if abs(float(g) - float(f)) > tolerances[col]:
-                    return f"row {i} col {col}: |{g} - {f}| > {tolerances[col]}"
-            elif g != f:
+            if g != f and not (col in tolerances and _within(g, f, tolerances[col])):
                 return f"row {i} col {col}: {g!r} != {f!r}"
     return ""
+
+
+def _within(g: str, f: str, tol: float) -> bool:
+    """Whether two cells are finite numbers at most tol apart; a nan, an
+    inf or an empty cell on either side never is."""
+    try:
+        a, b = float(g), float(f)
+    except ValueError:
+        return False
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol
 
 
 def _raise_site(exc: Exception) -> str:

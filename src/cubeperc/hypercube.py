@@ -1,17 +1,17 @@
 """Hypercube structure: vertices, canonical edge indexing, coordinate
-layouts, geodesic cycles, and the retrace path families.
+layouts, geodesic cycles, and the neighbor-retrace path family.
 
 Vertices of the n-cube are integers in [0, 2^n) read as bit masks, one
 bit per coordinate.  Edges join vertices differing in exactly one bit.
-Every edge has a canonical form (coord, base) where base has bit coord
-clear, and a linear index that is bijective onto [0, n * 2^(n-1)).
+Every edge has a linear index, bijective onto [0, n * 2^(n-1)), that
+fixes where its draw sits in a sample's edge bitset.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -51,12 +51,6 @@ def hamming(u: int, v: int) -> int:
     return (u ^ v).bit_count()
 
 
-def neighbors(shape: CubeShape, v: int) -> Iterator[int]:
-    """All cube neighbors of v in ascending coordinate order."""
-    for c in range(shape.n):
-        yield v ^ (1 << c)
-
-
 def bit_indices(mask: int) -> list[int]:
     """Positions of set bits, ascending."""
     out = []
@@ -67,52 +61,19 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class EdgeId:
-    """Canonical edge: coordinate flipped, plus the endpoint with that bit clear."""
-
-    coord: int
-    base: int
-
-    def endpoints(self) -> tuple[int, int]:
-        return self.base, self.base | (1 << self.coord)
-
-    def index(self, shape: CubeShape) -> int:
-        """Linear index coord * 2^(n-1) + compress(base, coord)."""
-        return self.coord * (1 << (shape.n - 1)) + _compress(self.base, self.coord)
-
-
-def edge_between(u: int, v: int) -> EdgeId:
-    """Canonical edge joining two adjacent vertices."""
+def edge_index(shape: CubeShape, u: int, v: int) -> int:
+    """Linear index coord * 2^(n-1) + compress(base, coord) of the edge
+    joining u and v: coord is the coordinate they differ in, base the
+    endpoint with that bit clear, and compress deletes bit coord from
+    base, shifting the higher bits down.  Raises NotAdjacent unless u
+    and v differ in exactly one coordinate."""
     d = u ^ v
     if d == 0 or d & (d - 1):
         raise NotAdjacent(f"vertices {u} and {v} differ in {d.bit_count()} coordinates")
     coord = d.bit_length() - 1
-    return EdgeId(coord, u & ~d)
-
-
-def edge_index(shape: CubeShape, u: int, v: int) -> int:
-    return edge_between(u, v).index(shape)
-
-
-def edge_from_index(shape: CubeShape, idx: int) -> EdgeId:
-    half = 1 << (shape.n - 1)
-    if not (0 <= idx < shape.n * half):
-        raise ValueError(f"edge index {idx} out of range for n={shape.n}")
-    coord, comp = divmod(idx, half)
-    return EdgeId(coord, _expand(comp, coord))
-
-
-def _compress(base: int, coord: int) -> int:
-    """Delete bit `coord` from base, shifting higher bits down."""
-    low = base & ((1 << coord) - 1)
-    return ((base >> (coord + 1)) << coord) | low
-
-
-def _expand(comp: int, coord: int) -> int:
-    """Inverse of _compress: insert a zero bit at position `coord`."""
-    low = comp & ((1 << coord) - 1)
-    return ((comp >> coord) << (coord + 1)) | low
+    base = u & ~d
+    compressed = ((base >> (coord + 1)) << coord) | (base & (d - 1))
+    return (coord << (shape.n - 1)) + compressed
 
 
 @dataclass(frozen=True)
@@ -210,16 +171,6 @@ def geodesic_cycle(shape: CubeShape, v: int, coords: Sequence[int]) -> list[int]
     return out
 
 
-def count_doubled_geodesic_cycles(shape: CubeShape, l: int) -> int:
-    """Number of doubled-sequence geodesic cycles of length 2l through a vertex.
-
-    Ordered coordinate choices n(n-1)...(n-l+1), halved for direction.
-    """
-    if not (2 <= l <= shape.n):
-        raise InvalidSpec(f"need 2 <= l <= n, got l={l}")
-    return math.perm(shape.n, l) // 2
-
-
 @dataclass(frozen=True)
 class NeighborRetraceSpec:
     """Paths between adjacent x, y: l fresh coordinate steps, one step in
@@ -259,85 +210,7 @@ class NeighborRetraceSpec:
             yield combo + (d,) + tuple(reversed(combo))
 
 
-@dataclass(frozen=True)
-class GoodPairSpec:
-    """Connecting paths between two good images x and y.
-
-    For each choice c = (c_1..c_l) drawn from the C blocks the path makes
-    the l steps of c, one step in the block-B coordinate assigned to index
-    i, one step in each coordinate where x and y differ (ascending), then
-    retraces the l+1 leading steps in reverse.  If the distinguished
-    coordinate e lands in B or in some C_k it is replaced by the
-    lowest-index spare coordinate.
-
-    x and y must differ in an odd number of coordinates, at most 7 (the
-    worst case gives length 2l+9), and the differing set must avoid the
-    step coordinates, otherwise the generated walks would self-intersect.
-    """
-
-    shape: CubeShape
-    x: int
-    y: int
-    i: int
-    partition: CoordinatePartition
-    e: int
-
-    def __post_init__(self) -> None:
-        part = self.partition
-        if part.n != self.shape.n:
-            raise InvalidSpec("partition dimension does not match shape")
-        if not (0 <= self.i < part.m):
-            raise InvalidSpec(f"index i={self.i} out of range [0, m={part.m})")
-        if not (0 <= self.e < part.n):
-            raise InvalidSpec(f"coordinate e={self.e} out of range")
-        diff = self.x ^ self.y
-        k = diff.bit_count()
-        if k == 0 or k > 7 or k % 2 == 0:
-            raise InvalidSpec(
-                f"endpoints must differ in an odd number of coordinates <= 7, got {k}"
-            )
-        step_coords = {self.b_coord()}
-        for blk in self.effective_c_blocks():
-            step_coords.update(blk)
-        if step_coords & set(bit_indices(diff)):
-            raise InvalidSpec(
-                "differing coordinates collide with the step coordinates of the family"
-            )
-
-    def _substitute(self, coords: Sequence[int]) -> tuple[int, ...]:
-        sub = self.partition.spare[0]
-        return tuple(sub if c == self.e else c for c in coords)
-
-    def b_coord(self) -> int:
-        return self._substitute(sorted(self.partition.b_coords))[self.i]
-
-    def effective_c_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._substitute(sorted(blk)) for blk in self.partition.c_blocks)
-
-    @property
-    def l(self) -> int:
-        return self.partition.l
-
-    @property
-    def path_length(self) -> int:
-        return 2 * self.l + 2 + (self.x ^ self.y).bit_count()
-
-    @property
-    def family_size(self) -> int:
-        return self.partition.m ** self.partition.l
-
-    def step_sequences(self) -> Iterator[tuple[int, ...]]:
-        b = self.b_coord()
-        mid = tuple(bit_indices(self.x ^ self.y))
-        for combo in itertools.product(*self.effective_c_blocks()):
-            lead = combo + (b,)
-            yield lead + mid + tuple(reversed(lead))
-
-
-PathFamilySpec = NeighborRetraceSpec | GoodPairSpec
-
-
-def enumerate_paths(spec: PathFamilySpec) -> Iterator[tuple[int, ...]]:
+def enumerate_paths(spec: NeighborRetraceSpec) -> Iterator[tuple[int, ...]]:
     """All paths of the family as vertex tuples, deterministic order.
 
     Each path starts at spec.x, ends at spec.y, is simple, and has

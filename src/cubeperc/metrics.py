@@ -266,10 +266,6 @@ class VertexMap:
     def identity(cls, shape: CubeShape) -> "VertexMap":
         return cls(np.arange(shape.vertex_count, dtype=np.int64))
 
-    @classmethod
-    def constant(cls, shape: CubeShape, v: int) -> "VertexMap":
-        return cls(np.full(shape.vertex_count, v, dtype=np.int64))
-
 
 @dataclass
 class DistortionReport:
@@ -315,14 +311,14 @@ def evaluate_distortion(
     *,
     pair_count: int = 2048,
     seed: int = 0,
-    exact_cap: int = EXACT_CAP_DEFAULT,
 ) -> DistortionReport:
     """Distortion of vmap from the full cube metric into the sample.
 
     Exact mode runs BFS from every distinct image and scans all pairs;
-    it is capped at n <= exact_cap.  Sampled mode evaluates pair_count
-    adjacent pairs for the stretch side and pair_count arbitrary pairs
-    for the contraction side, giving a valid lower bound on D.
+    it is capped at n <= EXACT_CAP_DEFAULT.  Sampled mode evaluates
+    pair_count adjacent pairs for the stretch side and pair_count
+    arbitrary pairs for the contraction side, giving a valid lower bound
+    on D.
     """
     n = sample.shape.n
     nv = sample.shape.vertex_count
@@ -340,8 +336,8 @@ def evaluate_distortion(
         return _infinite_report(mode, witness)
 
     if mode == "exact":
-        if n > exact_cap:
-            raise CapExceeded(f"exact mode capped at n={exact_cap}, got n={n}")
+        if n > EXACT_CAP_DEFAULT:
+            raise CapExceeded(f"exact mode capped at n={EXACT_CAP_DEFAULT}, got n={n}")
         return _evaluate_exact(sample, img)
     if mode == "sampled":
         return _evaluate_sampled(sample, img, pair_count, seed)
@@ -443,22 +439,6 @@ def _evaluate_sampled(
         exactness="sampled",
         pairs_evaluated=2 * pair_count,
     )
-
-
-def diameter_lower_bound(sample: PercolationSample, label: Optional[int] = None) -> int:
-    """Double-sweep BFS eccentricity bound inside one component
-    (the giant by default)."""
-    labeling = components(sample)
-    comp = labeling.giant_label if label is None else label
-    if comp < 0:
-        raise GiantTooSmall("sample has no present vertices")
-    inside = labeling.labels == comp
-    first = bfs(sample, int(comp))
-    d1 = np.where(inside, first.dist, -1)
-    far = int(np.argmax(d1))
-    second = bfs(sample, far)
-    d2 = np.where(inside, second.dist, -1)
-    return int(d2.max())
 
 
 # ---------------------------------------------------------------------------

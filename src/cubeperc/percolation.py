@@ -32,10 +32,9 @@ from .errors import (
     BadMagic,
     DimensionOverCap,
     LengthMismatch,
-    NotAdjacent,
     VersionMismatch,
 )
-from .hypercube import CubeShape, edge_between
+from .hypercube import CubeShape, edge_index
 
 M64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -207,8 +206,8 @@ class PercolationSample:
         return self._vertex_draw(v)
 
     def edge_open(self, u: int, v: int) -> bool:
-        e = edge_between(u, v)  # raises NotAdjacent when it must
-        if not self._edge_draw(e.index(self.shape)):
+        # edge_index raises NotAdjacent when it must
+        if not self._edge_draw(edge_index(self.shape, u, v)):
             return False
         return self._vertex_draw(u) and self._vertex_draw(v)
 

@@ -1,10 +1,9 @@
 """Routing in the local query model: a route may only query edges
 incident to vertices already reached from one of the endpoints.
 
-The router grows balls from both endpoints (a one-sided mode grows only
-from the start, the strictest reading of the model).  Every distinct
-edge-oracle call is counted exactly once; repeats hit a cache.  The
-full query/settle event sequence is recorded so locality can be audited
+The router grows balls from both endpoints.  Every distinct edge-oracle
+call is counted exactly once; repeats hit a cache.  The full
+query/settle event sequence is recorded so locality can be audited
 after the fact.
 """
 
@@ -36,9 +35,6 @@ class RouteTrace:
     path: Optional[tuple[int, ...]]
     queries: int
     explored: int
-    one_sided: bool
-    radius_budget: int
-    query_budget: int
     events: list[tuple] = field(default_factory=list)
 
 
@@ -48,8 +44,6 @@ def local_route(
     y: int,
     radius_budget: int,
     query_budget: int,
-    *,
-    one_sided: bool = False,
 ) -> RouteTrace:
     """Shortest discovered open path from x to y under the local model.
 
@@ -63,9 +57,7 @@ def local_route(
     n = shape.n
     events: list[tuple] = []
     if x == y:
-        return RouteTrace(
-            x, y, FOUND, (x,), 0, 1, one_sided, radius_budget, query_budget, events
-        )
+        return RouteTrace(x, y, FOUND, (x,), 0, 1, events)
 
     dist_x = {x: 0}
     dist_y = {y: 0}
@@ -129,13 +121,11 @@ def local_route(
             outcome = FOUND
             break
         can_x = bool(frontier_x) and radius_x < radius_budget
-        can_y = (
-            not one_sided and bool(frontier_y) and radius_y < radius_budget
-        )
+        can_y = bool(frontier_y) and radius_y < radius_budget
         if not can_x and not can_y:
             if best is not None:
                 outcome = FOUND
-            elif not frontier_x or (not one_sided and not frontier_y):
+            elif not frontier_x or not frontier_y:
                 outcome = NOT_FOUND  # a reachable set was exhausted
             else:
                 outcome = BUDGET_EXHAUSTED
@@ -167,10 +157,7 @@ def local_route(
             right.append(cur)
         path = tuple(left + right)
     explored = len(dist_x) + len(dist_y)
-    return RouteTrace(
-        x, y, outcome, path, queries, explored,
-        one_sided, radius_budget, query_budget, events,
-    )
+    return RouteTrace(x, y, outcome, path, queries, explored, events)
 
 
 def audit_locality(trace: RouteTrace) -> bool:

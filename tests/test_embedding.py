@@ -14,7 +14,6 @@ from cubeperc.embedding import (
     GoodnessCertificate,
     analytic_moments,
     build_good_map,
-    find_open_path,
     is_good,
     mc_open_path_count,
     neighbor_distance_stats,
@@ -22,7 +21,6 @@ from cubeperc.embedding import (
 from cubeperc.errors import GiantTooSmall
 from cubeperc.hypercube import (
     CubeShape,
-    GoodPairSpec,
     NeighborRetraceSpec,
     bit_indices,
     enumerate_paths,
@@ -175,31 +173,6 @@ class TestGoodMapOracle:
                     assert_same_build(got, oracle_good_map(sm, part))
 
 
-class TestFindOpenPath:
-    def test_full_cube_first_in_order(self):
-        spec = NeighborRetraceSpec(CubeShape(5), 0, 1, 1)
-        full = sample(CubeShape(5), PercModel.bond(1.0), 0)
-        assert find_open_path(full, spec) == next(enumerate_paths(spec))
-
-    def test_p0_none(self):
-        spec = NeighborRetraceSpec(CubeShape(5), 0, 1, 1)
-        empty = sample(CubeShape(5), PercModel.bond(0.0), 0)
-        assert find_open_path(empty, spec) is None
-
-    def test_unique_forced_path(self):
-        # n=5, p=0.35, seed 6: exactly one family path is open (pinned
-        # by exhaustive check below)
-        spec = NeighborRetraceSpec(CubeShape(5), 0, 1, 1)
-        sm = sample(CubeShape(5), PercModel.bond(0.35), 6)
-        open_paths = [
-            pa
-            for pa in enumerate_paths(spec)
-            if all(sm.edge_open(pa[k], pa[k + 1]) for k in range(len(pa) - 1))
-        ]
-        assert open_paths == [(0, 16, 17, 1)]
-        assert find_open_path(sm, spec) == (0, 16, 17, 1)
-
-
 class TestAnalyticMoments:
     def test_retrace_golden(self):
         spec = NeighborRetraceSpec(CubeShape(10), 0, 1, 2)
@@ -208,22 +181,6 @@ class TestAnalyticMoments:
         assert est.mean == 72 * p**5
         assert est.mean == pytest.approx(72 * 10**-1.25, rel=1e-14)
         assert est.second_moment_exact == pytest.approx(23.83783476203133, rel=1e-13)
-        assert est.ratio_bound == pytest.approx(1 + 1 / (10 * p * p), rel=1e-13)
-
-    def test_goodpair_golden(self):
-        shape = CubeShape(14)
-        part = make_partition(shape, 0.19)
-        y = sum(1 << b for b in (0, 1, 3, 10, 11, 12, 13))
-        spec = GoodPairSpec(shape, 0, y, 0, part, 0)
-        est = analytic_moments(spec, 0.5)
-        assert est.family_size == 8
-        assert est.path_length == 15
-        assert est.mean == 8 * 0.5**15
-        # series 1 + 2 + 4 plus the tail term 2^-3 * 2^15 = 4096
-        assert est.ratio_bound == 4103.0
-        assert est.second_moment_exact == pytest.approx(
-            0.00024434924125671387, rel=1e-13
-        )
 
     def test_p0_zero(self):
         spec = NeighborRetraceSpec(CubeShape(6), 0, 1, 2)

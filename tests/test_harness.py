@@ -164,6 +164,20 @@ class TestSweepCsv:
         with pytest.raises(ConfigError):
             config_from_csv("n,alpha\n6,0.25\n")
 
+    def test_tolerance_column_nan_never_matches_a_number(self):
+        # a bug that turns a float column into nan must not pass verify,
+        # whichever side holds the nan; equal cells, inf included, match
+        tolerances = harness.TOLERANCES["distortion"]
+
+        def compare(golden, fresh):
+            table = "n,d_plus,error\n3,{},\n"
+            return harness._compare_csv(table.format(golden), table.format(fresh), tolerances)
+
+        for golden, fresh in (("2.0", "nan"), ("nan", "2.0"), ("inf", "2.0"), ("", "2.0")):
+            assert "col d_plus" in compare(golden, fresh), (golden, fresh)
+        for golden, fresh in (("nan", "nan"), ("inf", "inf"), ("2.0", "2.0000000000001")):
+            assert compare(golden, fresh) == "", (golden, fresh)
+
 
 class TestVerifyGoldens:
     CFG = dict(kind="moments", n_list=(6,), alpha_list=(0.25,), l=1, trials=200)
@@ -280,6 +294,15 @@ class TestCli:
         rc = main(["sweep", "--kind", "distortion", "-n", "2",
                    "--alpha", "0.25", "--out", "/dev/null"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["-n", "4", "--alpha", "-1"], ["-n", "4", "--alpha", "nan"], ["-n", "0"], ["-n", "31"]],
+    )
+    def test_sample_out_of_range_exits_2(self, flags, capsys):
+        # the same n and alpha ranges as a sweep, with the same exit code
+        assert main(["sample", *flags]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_bad_n_exits_2(self, capsys):
         rc = main(["sweep", "--kind", "moments", "-n", "31", "--alpha", "0.25"])

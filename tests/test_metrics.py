@@ -12,7 +12,6 @@ from cubeperc.metrics import (
     bounded_distance,
     brute_force_min_distortion,
     components,
-    diameter_lower_bound,
     evaluate_distortion,
 )
 from cubeperc.percolation import PercModel, sample
@@ -132,7 +131,7 @@ class TestEvaluateDistortion:
         assert rep.exactness == "exact"
 
     def test_constant_map_on_full_cube(self, full3):
-        rep = evaluate_distortion(full3, VertexMap.constant(CubeShape(3), 0))
+        rep = evaluate_distortion(full3, VertexMap(np.full(8, 0)))
         assert rep.d_plus == 1.0
         assert rep.d_minus == pytest.approx(1.0 / 3.0)
         assert rep.distortion == pytest.approx(3.0)
@@ -162,7 +161,7 @@ class TestEvaluateDistortion:
         if not absent:
             pytest.skip("seed leaves every vertex present")
         with pytest.raises(ValueError):
-            evaluate_distortion(sm, VertexMap.constant(CubeShape(3), absent[0]))
+            evaluate_distortion(sm, VertexMap(np.full(8, absent[0])))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32), st.data())
@@ -172,7 +171,7 @@ class TestEvaluateDistortion:
         if lab.giant_size < 32:
             return
         target = int(np.flatnonzero(lab.giant_mask())[0])
-        vmap = VertexMap.constant(CubeShape(5), target)
+        vmap = VertexMap(np.full(32, target))
         exact = evaluate_distortion(sm, vmap, "exact")
         sampled = evaluate_distortion(
             sm, vmap, "sampled", pair_count=64, seed=data.draw(st.integers(0, 999))
@@ -233,41 +232,3 @@ class TestBruteForce:
         sm = sample(CubeShape(4), PercModel.bond(1.0), 0)
         with pytest.raises(TooLarge):
             brute_force_min_distortion(sm)
-
-
-class TestDiameterLowerBound:
-    def test_full_cube_exact(self, full4):
-        assert diameter_lower_bound(full4) == 4
-
-    def test_single_vertex_component(self):
-        sm = sample(CubeShape(3), PercModel.bond(0.0), 0)
-        assert diameter_lower_bound(sm) == 0
-
-    def test_tree_component_exact(self, forest4):
-        # double sweep is exact on trees: compare against all-pairs BFS
-        lab = components(forest4)
-        giant = np.flatnonzero(lab.giant_mask())
-        best = 0
-        for v in giant:
-            field = bfs(forest4, int(v))
-            for w in giant:
-                d = field.distance(int(w))
-                if d is not None:
-                    best = max(best, d)
-        assert diameter_lower_bound(forest4) == best
-
-    @settings(max_examples=20, deadline=None)
-    @given(perc_case)
-    def test_never_exceeds_true_diameter(self, case):
-        n, p, seed = case
-        sm = sample(CubeShape(n), PercModel.bond(p), seed)
-        lab = components(sm)
-        verts = np.flatnonzero(lab.giant_mask())
-        true = 0
-        for v in verts:
-            field = bfs(sm, int(v))
-            for w in verts:
-                d = field.distance(int(w))
-                if d is not None:
-                    true = max(true, d)
-        assert diameter_lower_bound(sm) <= true

@@ -37,12 +37,13 @@ def test_trivial_route_same_vertex(full4):
     assert audit_locality(tr)
 
 
-def test_isolated_start_one_sided_costs_n_queries():
+def test_isolated_start_costs_n_queries():
     # Every incident edge is closed, so the start's component is just
-    # itself: n oracle calls, then a conclusive not-found.
+    # itself: n oracle calls, then a conclusive not-found before the
+    # target's side is expanded at all.
     n = 8
     sm = sample(CubeShape(n), PercModel.bond(0.0), 0)
-    tr = local_route(sm, 0, 255, n, BIG, one_sided=True)
+    tr = local_route(sm, 0, 255, n, BIG)
     assert tr.outcome == NOT_FOUND
     assert tr.path is None
     assert tr.queries == n
@@ -137,19 +138,3 @@ def test_found_paths_are_shortest(n, p, seed, pair):
         assert tr.outcome == NOT_FOUND
         assert y not in dist
     assert audit_locality(tr)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    p=st.floats(0.3, 0.9),
-    seed=st.integers(0, 2**32),
-    y=st.integers(1, 31),
-)
-def test_one_sided_agrees_with_two_sided(p, seed, y):
-    sm = sample(CubeShape(5), PercModel.bond(p), seed)
-    one = local_route(sm, 0, y, 32, BIG, one_sided=True)
-    two = local_route(sm, 0, y, 32, BIG)
-    assert one.outcome == two.outcome
-    if one.outcome == FOUND:
-        assert len(one.path) == len(two.path)
-    assert audit_locality(one)
