@@ -21,6 +21,7 @@ from cubeperc.hypercube import (
     hamming,
     make_partition,
 )
+from cubeperc.percolation import PercModel, sample
 
 
 class TestCubeShape:
@@ -46,6 +47,36 @@ def test_hamming_and_bits():
     assert bit_indices(0) == []
 
 
+def test_neighbors_examples():
+    # the full cube's open edges, read off the sample's per-coordinate
+    # edge layout, join each vertex to exactly its n Hamming neighbours
+    def neighbors(n, v):
+        sm = sample(CubeShape(n), PercModel.bond(1.0), 0)
+        out = set()
+        for base, other in sm.open_edge_endpoints():
+            out.update(int(w) for w in other[base == v])
+            out.update(int(u) for u in base[other == v])
+        return out
+
+    assert neighbors(3, 0b000) == {0b001, 0b010, 0b100}
+    assert neighbors(1, 0) == {1}
+    assert neighbors(4, 0b1111) == {0b0111, 0b1011, 0b1101, 0b1110}
+
+
+@given(st.integers(1, 12), st.data())
+def test_edge_index_roundtrip(n, data):
+    # decode an index by the layout edge_index documents, then encode
+    # the endpoints again
+    shape = CubeShape(n)
+    idx = data.draw(st.integers(0, shape.edge_count - 1))
+    coord, compressed = divmod(idx, 1 << (n - 1))
+    low = compressed & ((1 << coord) - 1)
+    base = ((compressed >> coord) << (coord + 1)) | low
+    assert base >> coord & 1 == 0
+    assert edge_index(shape, base, base | (1 << coord)) == idx
+    assert edge_index(shape, base | (1 << coord), base) == idx
+
+
 def test_edge_index_is_a_bijection_on_endpoints():
     # a sample keeps edge e's draw at bit e of its edge bitset, so the
     # cube's edges must fill [0, n 2^(n-1)) exactly once each
@@ -62,7 +93,9 @@ def test_edge_index_is_a_bijection_on_endpoints():
         assert hits == [1] * shape.edge_count, n
 
 
-def test_edge_index_rejects_non_adjacent():
+def test_edge_between_rejects_non_adjacent():
+    # edge_index is the edge between u and v; it has none to name unless
+    # they differ in exactly one coordinate
     with pytest.raises(NotAdjacent):
         edge_index(CubeShape(3), 0, 3)
     with pytest.raises(NotAdjacent):
