@@ -44,7 +44,6 @@ from .hypercube import (
     CoordinatePartition,
     CubeShape,
     NeighborRetraceSpec,
-    bit_indices,
     edge_index,
     enumerate_paths,
     hamming,
@@ -102,7 +101,6 @@ __all__ = [
     "analytic_moments",
     "audit_locality",
     "bfs",
-    "bit_indices",
     "bounded_distance",
     "brute_force_min_distortion",
     "build_good_map",

@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ImagesDisconnected
+from .hypercube import flip_neighbors
 from .metrics import VertexMap, bfs
 from .percolation import PercolationSample
 
@@ -95,18 +98,10 @@ def image_walk(
         cur = u
         masks = sample.open_neighbor_masks_array()
         while cur != w:
-            step = int(dist[cur]) - 1
+            step = dist[cur] - 1
             # smallest-id open neighbor one step closer to w
-            nxt = -1
-            m = int(masks[cur])
-            while m:
-                low = m & -m
-                m ^= low
-                cand = cur ^ low
-                if dist[cand] == step and (nxt < 0 or cand < nxt):
-                    nxt = cand
-            path.append(nxt)
-            cur = nxt
+            cur = min(x for x in flip_neighbors(cur, int(masks[cur])) if dist[x] == step)
+            path.append(cur)
         return path
 
     walk = [images[0]]
@@ -251,11 +246,7 @@ def find_cycles_near(
     """
     if not sample.vertex_present(v):
         return CycleSearchResult([], 0, False, 0)
-    ball = sorted(
-        int(w)
-        for w, d in enumerate(bfs(sample, v, cutoff=radius).dist)
-        if d >= 0
-    )
+    ball = np.flatnonzero(bfs(sample, v, cutoff=radius).dist >= 0).tolist()
     ball_set = set(ball)
     masks = sample.open_neighbor_masks_array()
     cycles: list[SimpleCycle] = []
@@ -263,19 +254,9 @@ def find_cycles_near(
     expansions = 0
     partial = False
 
-    def neighbors_of(u: int) -> list[int]:
-        out = []
-        m = int(masks[u])
-        while m:
-            low = m & -m
-            m ^= low
-            out.append(u ^ low)
-        return out
-
     for w in ball:
         if partial:
             break
-        banned = {b for b in ball_set if b < w}
         path = [w]
         on_path = {w}
 
@@ -287,7 +268,7 @@ def find_cycles_near(
             if budget is not None and expansions > budget:
                 partial = True
                 return
-            for nxt in neighbors_of(cur):
+            for nxt in flip_neighbors(cur, int(masks[cur])):
                 if partial:
                     return
                 if nxt == w and len(path) >= 3 and path[1] < path[-1]:
@@ -296,7 +277,7 @@ def find_cycles_near(
                         cyc = SimpleCycle(tuple(path))
                         cycles.append(SimpleCycle(cyc.canonical()))
                     continue
-                if nxt in on_path or nxt in banned or len(path) >= max_length:
+                if nxt in on_path or (nxt < w and nxt in ball_set) or len(path) >= max_length:
                     continue
                 path.append(nxt)
                 on_path.add(nxt)

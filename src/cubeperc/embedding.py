@@ -22,8 +22,8 @@ from .errors import GiantTooSmall
 from .hypercube import (
     CoordinatePartition,
     NeighborRetraceSpec,
-    bit_indices,
     enumerate_paths,
+    flip_neighbors,
     path_edge_indices,
 )
 from .metrics import VertexMap, bounded_distance, components
@@ -78,12 +78,8 @@ def is_good(
     masks = sample.open_neighbor_masks_array()
     a_bits = _coord_mask(partition.a_coords)
     witnesses = set()
-    first = int(masks[v]) & a_bits
-    for a1 in bit_indices(first):
-        mid = v ^ (1 << a1)
-        second = int(masks[mid]) & a_bits & ~(1 << a1)
-        for a2 in bit_indices(second):
-            witnesses.add(mid ^ (1 << a2))
+    for mid in flip_neighbors(v, int(masks[v]) & a_bits):
+        witnesses.update(flip_neighbors(mid, int(masks[mid]) & a_bits & ~(mid ^ v)))
     if len(witnesses) < 2 * partition.m:
         return None
     return GoodnessCertificate(v, frozenset(witnesses))
@@ -238,21 +234,26 @@ def neighbor_distance_stats(
         giant = components(sample).giant_mask()
 
     idx = np.arange(nv)
+    # per coordinate c, the lower endpoints of the cube edges along c
+    # that have both endpoints in the giant; the scan stops once there
+    # are enough to sample from, so only an exhaustive list is held whole
+    eligible = []
     eligible_count = 0
     for c in range(n):
         base = idx[(idx >> c) & 1 == 0]
-        eligible_count += int((giant[base] & giant[base | (1 << c)]).sum())
+        eligible.append(base[giant[base] & giant[base | (1 << c)]])
+        eligible_count += len(eligible[-1])
+        if eligible_count >= num_pairs:
+            break
     if eligible_count == 0:
         raise GiantTooSmall("no cube edge has both endpoints in the giant component")
 
     pairs: list[tuple[int, int]] = []
     if eligible_count < num_pairs:
         exhaustive = True
-        for c in range(n):
-            base = idx[(idx >> c) & 1 == 0]
-            ok = giant[base] & giant[base | (1 << c)]
-            for u in base[ok]:
-                pairs.append((int(u), int(u) ^ (1 << c)))
+        for c, lows in enumerate(eligible):
+            for u in lows.tolist():
+                pairs.append((u, u ^ (1 << c)))
     else:
         exhaustive = False
         stream = CounterStream(seed)

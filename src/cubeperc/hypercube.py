@@ -51,13 +51,15 @@ def hamming(u: int, v: int) -> int:
     return (u ^ v).bit_count()
 
 
-def bit_indices(mask: int) -> list[int]:
-    """Positions of set bits, ascending."""
+def flip_neighbors(v: int, mask: int) -> list[int]:
+    """v with each set bit of mask flipped, one bit at a time, in
+    ascending coordinate order.  With an open-neighbour mask this lists
+    the open neighbours of v."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
         mask ^= low
+        out.append(v ^ low)
     return out
 
 

@@ -59,86 +59,73 @@ def local_route(
     if x == y:
         return RouteTrace(x, y, FOUND, (x,), 0, 1, events)
 
-    dist_x = {x: 0}
-    dist_y = {y: 0}
-    parent_x: dict[int, int] = {}
-    parent_y: dict[int, int] = {}
-    frontier_x, frontier_y = [x], [y]
-    radius_x = radius_y = 0
-    cache: dict[int, bool] = {}
-    queries = 0
+    masks = sample.open_neighbor_masks_array()
+    # per-side state, keyed "x" and "y"
+    dist = {"x": {x: 0}, "y": {y: 0}}
+    parents: dict[str, dict[int, int]] = {"x": {}, "y": {}}
+    frontier = {"x": [x], "y": [y]}
+    radius = {"x": 0, "y": 0}
+    cache: dict[int, bool] = {}  # edge index -> open; one entry per query
     best: Optional[tuple[int, int]] = None  # (length, meet vertex)
     out_of_queries = False
 
-    def expand(side: str) -> None:
-        nonlocal queries, best, out_of_queries
-        nonlocal frontier_x, frontier_y, radius_x, radius_y
-        if side == "x":
-            frontier, dist_this, dist_other, parents = (
-                frontier_x, dist_x, dist_y, parent_x,
-            )
-        else:
-            frontier, dist_this, dist_other, parents = (
-                frontier_y, dist_y, dist_x, parent_y,
-            )
+    def expand(side: str, other: str) -> None:
+        nonlocal best, out_of_queries
+        dist_this, dist_other = dist[side], dist[other]
         nxt = []
-        for u in frontier:
+        for u in frontier[side]:
+            m = int(masks[u])
             for c in range(n):
                 w = u ^ (1 << c)
                 key = edge_index(shape, u, w)
                 if key in cache:
                     is_open = cache[key]
                 else:
-                    if queries >= query_budget:
+                    if len(cache) >= query_budget:
                         out_of_queries = True
                         break
-                    is_open = sample.edge_open(u, w)
+                    is_open = bool(m >> c & 1)
                     cache[key] = is_open
-                    queries += 1
                     events.append(("query", side, u, w, is_open))
                 if not is_open or w in dist_this:
                     continue
                 dist_this[w] = dist_this[u] + 1
-                parents[w] = u
+                parents[side][w] = u
                 nxt.append(w)
                 events.append(("settle", side, w, dist_this[w]))
-                other = dist_other.get(w)
-                if other is not None:
-                    cand = dist_this[w] + other
+                d_other = dist_other.get(w)
+                if d_other is not None:
+                    cand = dist_this[w] + d_other
                     if best is None or cand < best[0]:
                         best = (cand, w)
             if out_of_queries:
                 break
-        if side == "x":
-            frontier_x = nxt
-            radius_x += 1
-        else:
-            frontier_y = nxt
-            radius_y += 1
+        frontier[side] = nxt
+        radius[side] += 1
 
     while True:
-        if best is not None and best[0] <= radius_x + radius_y + 1:
+        if best is not None and best[0] <= radius["x"] + radius["y"] + 1:
             outcome = FOUND
             break
-        can_x = bool(frontier_x) and radius_x < radius_budget
-        can_y = bool(frontier_y) and radius_y < radius_budget
+        can_x = bool(frontier["x"]) and radius["x"] < radius_budget
+        can_y = bool(frontier["y"]) and radius["y"] < radius_budget
         if not can_x and not can_y:
             if best is not None:
                 outcome = FOUND
-            elif not frontier_x or not frontier_y:
+            elif not frontier["x"] or not frontier["y"]:
                 outcome = NOT_FOUND  # a reachable set was exhausted
             else:
                 outcome = BUDGET_EXHAUSTED
             break
-        if can_x and (not can_y or len(frontier_x) <= len(frontier_y)):
-            side = "x"
+        if can_x and (not can_y or len(frontier["x"]) <= len(frontier["y"])):
+            side, other = "x", "y"
         else:
-            side = "y"
-        expand(side)
+            side, other = "y", "x"
+        expand(side, other)
         if out_of_queries:
             outcome = FOUND if best is not None else BUDGET_EXHAUSTED
             break
-        if not (frontier_x if side == "x" else frontier_y):
+        if not frontier[side]:
             # this side's reachable set is fully settled: conclusive
             outcome = FOUND if best is not None else NOT_FOUND
             break
@@ -146,18 +133,16 @@ def local_route(
     path = None
     if outcome == FOUND:
         meet = best[1]
-        left = [meet]
-        while left[-1] != x:
-            left.append(parent_x[left[-1]])
-        left.reverse()
-        right = []
-        cur = meet
-        while cur != y:
-            cur = parent_y[cur]
-            right.append(cur)
-        path = tuple(left + right)
-    explored = len(dist_x) + len(dist_y)
-    return RouteTrace(x, y, outcome, path, queries, explored, events)
+        # walk each side's parents from the meet vertex back to its end
+        halves = []
+        for side, end in (("x", x), ("y", y)):
+            half = [meet]
+            while half[-1] != end:
+                half.append(parents[side][half[-1]])
+            halves.append(half)
+        path = tuple(halves[0][::-1] + halves[1][1:])
+    explored = len(dist["x"]) + len(dist["y"])
+    return RouteTrace(x, y, outcome, path, len(cache), explored, events)
 
 
 def audit_locality(trace: RouteTrace) -> bool:

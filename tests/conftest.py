@@ -31,6 +31,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+MODEL_KINDS = ("bond", "site", "mixed")
+
+
+def perc_model(kind: str, p: float) -> PercModel:
+    """A model of the given kind at probability p; mixed keeps edges at
+    p and vertices at the likelier (1 + p) / 2."""
+    if kind == "mixed":
+        return PercModel.mixed(p, (1.0 + p) / 2.0)
+    return getattr(PercModel, kind)(p)
+
+
 def open_edge_set(sm) -> set[tuple[int, int]]:
     """All open edges as (min, max) vertex pairs, via the scalar API."""
     out = set()

@@ -8,6 +8,7 @@ segment first, earliest start on ties) rather than just the end state.
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,23 @@ class TestImageWalk:
         cyc = geodesic_cycle(CubeShape(3), 0, (0, 1))
         walk = image_walk(vmap, cyc, full3)
         assert len(walk.vertices) == len(cyc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6), st.floats(0.4, 1.0), st.integers(0, 2**32), st.data())
+    def test_arcs_are_least_shortest_paths(self, n, p, seed, data):
+        sm = sample(CubeShape(n), PercModel.bond(p), seed)
+        g = open_graph(sm)
+        giant = sorted(max(nx.connected_components(g), key=len))
+        img = data.draw(st.lists(st.sampled_from(giant), min_size=1 << n, max_size=1 << n))
+        coords = data.draw(st.permutations(range(n)))[: data.draw(st.integers(2, n))]
+        cyc = geodesic_cycle(CubeShape(n), data.draw(st.integers(0, (1 << n) - 1)), coords)
+        walk = image_walk(VertexMap(img), cyc, sm)
+        # arc k runs from anchor k to the next anchor, the last one back
+        # to the walk's end
+        ends = [*walk.anchors, len(walk.vertices) - 1]
+        for a, b in zip(ends, ends[1:]):
+            want = min(nx.all_shortest_paths(g, walk.vertices[a], walk.vertices[b]))
+            assert list(walk.vertices[a : b + 1]) == want
 
     def test_disconnected_images_raise(self):
         sm = sample(CubeShape(2), PercModel.bond(0.0), 0)

@@ -14,9 +14,9 @@ from cubeperc.errors import (
 from cubeperc.hypercube import (
     CubeShape,
     NeighborRetraceSpec,
-    bit_indices,
     edge_index,
     enumerate_paths,
+    flip_neighbors,
     geodesic_cycle,
     hamming,
     make_partition,
@@ -43,8 +43,11 @@ class TestCubeShape:
 
 def test_hamming_and_bits():
     assert hamming(0b1010, 0b0110) == 2
-    assert bit_indices(0b10110) == [1, 2, 4]
-    assert bit_indices(0) == []
+    # flip_neighbors against its definition, every v and mask at n = 5
+    n = 5
+    for v in range(1 << n):
+        for mask in range(1 << n):
+            assert flip_neighbors(v, mask) == [v ^ (1 << c) for c in range(n) if mask >> c & 1]
 
 
 def test_neighbors_examples():

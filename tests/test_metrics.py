@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_bfs, oracle_components, oracle_min_distortion
+from conftest import (
+    MODEL_KINDS,
+    oracle_bfs,
+    oracle_components,
+    oracle_min_distortion,
+    perc_model,
+)
 from cubeperc.errors import CapExceeded, SourceAbsent, TooLarge
 from cubeperc.hypercube import CubeShape, hamming
 from cubeperc.metrics import (
@@ -50,13 +56,17 @@ def test_bfs_rejects_absent_source():
         bfs(sm, 0)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 @settings(max_examples=30, deadline=None)
 @given(perc_case)
-def test_bfs_matches_oracle(case):
+def test_bfs_matches_oracle(kind, case):
     n, p, seed = case
-    sm = sample(CubeShape(n), PercModel.bond(p), seed)
-    field = bfs(sm, 0)
-    want = oracle_bfs(sm, 0)
+    sm = sample(CubeShape(n), perc_model(kind, p), seed)
+    present = np.flatnonzero(sm.present_array())
+    assume(len(present) > 0)
+    source = int(present[0])
+    field = bfs(sm, source)
+    want = oracle_bfs(sm, source)
     for v in range(sm.shape.vertex_count):
         assert field.distance(v) == want.get(v)
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_bfs
+from conftest import MODEL_KINDS, oracle_bfs, perc_model
 from cubeperc.errors import SourceAbsent
 from cubeperc.hypercube import CubeShape, hamming
 from cubeperc.percolation import PercModel, sample
@@ -117,6 +118,7 @@ def test_audit_rejects_tampered_trace(full4):
     assert not audit_locality(tr)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 6),
@@ -124,9 +126,12 @@ def test_audit_rejects_tampered_trace(full4):
     seed=st.integers(0, 2**32),
     pair=st.tuples(st.integers(0, 63), st.integers(0, 63)),
 )
-def test_found_paths_are_shortest(n, p, seed, pair):
-    sm = sample(CubeShape(n), PercModel.bond(p), seed)
-    x, y = pair[0] % 2**n, pair[1] % 2**n
+def test_found_paths_are_shortest(kind, n, p, seed, pair):
+    sm = sample(CubeShape(n), perc_model(kind, p), seed)
+    # the start must be present; the target may be absent
+    present = np.flatnonzero(sm.present_array())
+    assume(len(present) > 0)
+    x, y = int(present[pair[0] % len(present)]), pair[1] % 2**n
     tr = local_route(sm, x, y, 2**n, BIG)
     dist = oracle_bfs(sm, x)
     if tr.outcome == FOUND:
