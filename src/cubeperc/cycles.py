@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ImagesDisconnected
 from .hypercube import flip_neighbors
 from .metrics import VertexMap, bfs
@@ -246,15 +244,22 @@ def find_cycles_near(
     """
     if not sample.vertex_present(v):
         return CycleSearchResult([], 0, False, 0)
-    ball = np.flatnonzero(bfs(sample, v, cutoff=radius).dist >= 0).tolist()
-    ball_set = set(ball)
     masks = sample.open_neighbor_masks_array()
+    # the radius ball, grown from the masks: a search over the whole
+    # graph would cost O(2^n) per call, this costs O(ball)
+    ball = {v}
+    frontier = {v}
+    for _ in range(radius):
+        frontier = {x for w in frontier for x in flip_neighbors(w, int(masks[w]))} - ball
+        if not frontier:
+            break
+        ball |= frontier
     cycles: list[SimpleCycle] = []
     count = 0
     expansions = 0
     partial = False
 
-    for w in ball:
+    for w in sorted(ball):
         if partial:
             break
         path = [w]
@@ -277,7 +282,7 @@ def find_cycles_near(
                         cyc = SimpleCycle(tuple(path))
                         cycles.append(SimpleCycle(cyc.canonical()))
                     continue
-                if nxt in on_path or (nxt < w and nxt in ball_set) or len(path) >= max_length:
+                if nxt in on_path or (nxt < w and nxt in ball) or len(path) >= max_length:
                     continue
                 path.append(nxt)
                 on_path.add(nxt)

@@ -118,6 +118,17 @@ class MomentEstimate:
     second_moment_exact: Optional[float]
 
 
+def _edge_table(shape, paths) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct edge indices of a path family, numbered in first-seen
+    order, and each path's edges as those numbers, a row per path."""
+    numbers: dict[int, int] = {}
+    table = [
+        [numbers.setdefault(e, len(numbers)) for e in path_edge_indices(shape, path)]
+        for path in paths
+    ]
+    return np.array(list(numbers), dtype=np.int64), np.array(table, dtype=np.int64)
+
+
 def analytic_moments(spec: NeighborRetraceSpec, p: float) -> MomentEstimate:
     """Exact mean, and exact second moment by pairwise shared-edge
     census when the family size is within SECOND_MOMENT_CAP."""
@@ -131,15 +142,10 @@ def analytic_moments(spec: NeighborRetraceSpec, p: float) -> MomentEstimate:
     if size > SECOND_MOMENT_CAP:
         return MomentEstimate(size, length, mean, None)
 
-    shape = spec.shape
-    rows, cols = [], []
-    edge_ids: dict[int, int] = {}
-    for pi, path in enumerate(enumerate_paths(spec)):
-        for e in path_edge_indices(shape, path):
-            rows.append(pi)
-            cols.append(edge_ids.setdefault(e, len(edge_ids)))
+    edge_ids, epaths = _edge_table(spec.shape, enumerate_paths(spec))
+    rows = np.repeat(np.arange(size), length)
     member = coo_matrix(
-        (np.ones(len(rows), dtype=np.int32), (rows, cols)),
+        (np.ones(epaths.size, dtype=np.int32), (rows, epaths.ravel())),
         shape=(size, len(edge_ids)),
     ).tocsr()
     shared = member @ member.T  # pairwise shared-edge counts, sparse
@@ -162,12 +168,7 @@ def mc_open_path_count(
     """
     shape = spec.shape
     paths = list(enumerate_paths(spec))
-    per_path_edges = [path_edge_indices(shape, path) for path in paths]
-    edge_ids = np.unique(np.array(per_path_edges, dtype=np.int64).ravel())
-    edge_pos = {int(e): k for k, e in enumerate(edge_ids)}
-    epaths = np.array(
-        [[edge_pos[e] for e in row] for row in per_path_edges], dtype=np.int64
-    )
+    edge_ids, epaths = _edge_table(shape, paths)
 
     if model.has_site_draws:
         offset = vertex_draw_offset(shape)

@@ -352,13 +352,6 @@ def config_from_csv(text: str) -> SweepConfig:
     raise ConfigError("no '# config:' comment line found")
 
 
-def _tolerances_from_csv(text: str) -> dict[str, float]:
-    for line in text.splitlines():
-        if line.startswith("# tolerance: "):
-            return json.loads(line[len("# tolerance: "):])
-    return {}
-
-
 @dataclass
 class GoldenCheck:
     file: str
@@ -384,27 +377,28 @@ class GoldenReport:
 
 
 def _compare_csv(golden: str, fresh: str, tolerances: dict[str, float]) -> str:
-    """Empty string when they match; otherwise a one-line diff excerpt."""
-    if not tolerances:
-        if golden == fresh:
-            return ""
-        for k, (a, b) in enumerate(zip(golden.splitlines(), fresh.splitlines())):
+    """Empty string when they match; otherwise the first mismatch.
+
+    Comment lines and the header must match exactly.  A data cell must
+    match exactly or, in a column with a tolerance, lie within it.
+    """
+    glines, flines = golden.splitlines(), fresh.splitlines()
+    header = None
+    for k, (a, b) in enumerate(zip(glines, flines), start=1):
+        if a.startswith("#") or header is None:
             if a != b:
-                return f"line {k + 1}: {a!r} != {b!r}"
-        return "line count differs"
-    glines = [ln for ln in golden.splitlines() if not ln.startswith("#")]
-    flines = [ln for ln in fresh.splitlines() if not ln.startswith("#")]
-    if len(glines) != len(flines):
-        return f"row count {len(glines) - 1} != {len(flines) - 1}"
-    gr = list(csv.reader(glines))
-    fr = list(csv.reader(flines))
-    if gr[0] != fr[0]:
-        return f"header differs: {gr[0]} != {fr[0]}"
-    header = gr[0]
-    for i, (grow, frow) in enumerate(zip(gr[1:], fr[1:]), start=1):
+                return f"line {k}: {a!r} != {b!r}"
+            if not a.startswith("#"):
+                header = next(csv.reader([a]))
+            continue
+        grow, frow = next(csv.reader([a])), next(csv.reader([b]))
+        if len(grow) != len(frow):
+            return f"line {k}: {a!r} != {b!r}"
         for col, g, f in zip(header, grow, frow):
             if g != f and not (col in tolerances and _within(g, f, tolerances[col])):
-                return f"row {i} col {col}: {g!r} != {f!r}"
+                return f"line {k} col {col}: {g!r} != {f!r}"
+    if len(glines) != len(flines):
+        return f"line count {len(glines)} != {len(flines)}"
     return ""
 
 
@@ -432,7 +426,7 @@ def _raise_site(exc: Exception) -> str:
 
 def verify_goldens(directory: str, threads: int = 1) -> GoldenReport:
     """Re-run the config embedded in every golden CSV under directory
-    and compare, column tolerances honored."""
+    and compare, with the column tolerances of TOLERANCES."""
     if not os.path.isdir(directory):
         raise MissingGolden(f"golden directory {directory!r} does not exist")
     files = sorted(f for f in os.listdir(directory) if f.endswith(".csv"))
@@ -446,7 +440,7 @@ def verify_goldens(directory: str, threads: int = 1) -> GoldenReport:
         try:
             config = config_from_csv(golden)
             fresh = run_sweep(config, threads=threads)
-            detail = _compare_csv(golden, fresh, _tolerances_from_csv(golden))
+            detail = _compare_csv(golden, fresh, TOLERANCES[config.kind])
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc} ({_raise_site(exc)})"
         report.checks.append(GoldenCheck(name, detail == "", detail))

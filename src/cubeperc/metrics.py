@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_components
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import CapExceeded, GiantTooSmall, SourceAbsent, TooLarge
 from .hypercube import CubeShape, flip_neighbors, hamming
@@ -31,10 +31,9 @@ BRUTE_FORCE_CAP = 3
 
 @dataclass
 class DistanceField:
-    """BFS distances from one source; -1 marks not reached (within cutoff)."""
+    """BFS distances from one source; -1 marks not reached."""
 
     source: int
-    cutoff: Optional[int]
     dist: np.ndarray
 
     def distance(self, v: int) -> Optional[int]:
@@ -46,26 +45,34 @@ class DistanceField:
         return int((self.dist >= 0).sum())
 
 
-def bfs(sample: PercolationSample, source: int, cutoff: Optional[int] = None) -> DistanceField:
+def _open_graph(sample: PercolationSample) -> csr_matrix:
+    """The open graph as a csr adjacency matrix holding each open edge
+    once, for scipy's csgraph routines with directed=False.  float64
+    data, so no cast copy happens inside them."""
+    nv = sample.shape.vertex_count
+    total = sample.open_edge_count()
+    row = np.empty(total, dtype=np.int32)
+    col = np.empty(total, dtype=np.int32)
+    k = 0
+    for base, other in sample.open_edge_endpoints():
+        row[k : k + len(base)] = base
+        col[k : k + len(base)] = other
+        k += len(base)
+    return coo_matrix((np.ones(total, dtype=np.float64), (row, col)), shape=(nv, nv)).tocsr()
+
+
+def _distances(sample: PercolationSample, sources) -> np.ndarray:
+    """Open-graph distances from each source (a row per source, or one
+    row for a scalar source), float64 with inf for unreached."""
+    return dijkstra(_open_graph(sample), directed=False, unweighted=True, indices=sources)
+
+
+def bfs(sample: PercolationSample, source: int) -> DistanceField:
     if not sample.vertex_present(source):
         raise SourceAbsent(f"vertex {source} is not present in the sample")
-    # plain lists: on all but the shortest searches, per-element numpy
-    # reads and writes cost more than the two whole-array conversions
-    masks = sample.open_neighbor_masks_array().tolist()
-    dist = [-1] * sample.shape.vertex_count
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier and (cutoff is None or d < cutoff):
-        d += 1
-        nxt = []
-        for w in frontier:
-            for x in flip_neighbors(w, masks[w]):
-                if dist[x] < 0:
-                    dist[x] = d
-                    nxt.append(x)
-        frontier = nxt
-    return DistanceField(source, cutoff, np.array(dist, dtype=np.int32))
+    dist = _distances(sample, source)
+    dist[np.isinf(dist)] = -1
+    return DistanceField(source, dist.astype(np.int32))
 
 
 def bounded_distance(
@@ -155,76 +162,9 @@ class ComponentLabeling:
         return self.labels == self.giant_label
 
 
-def _try_import_numba():
-    try:
-        import numba
-
-        return numba
-    except ImportError:
-        return None
-
-
-_numba = _try_import_numba()
-
-if _numba is not None:
-
-    @_numba.njit(cache=False)
-    def _union_edges_jit(parent, base, other):  # pragma: no cover
-        for i in range(len(base)):
-            x = base[i]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = other[i]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x < y:
-                parent[y] = x
-            elif y < x:
-                parent[x] = y
-
-    @_numba.njit(cache=False)
-    def _flatten_parents_jit(parent):  # pragma: no cover
-        # links always point at smaller ids, so one ascending sweep
-        # leaves every entry naming its root
-        for v in range(len(parent)):
-            parent[v] = parent[parent[v]]
-
-
-def _component_roots(sample: PercolationSample) -> np.ndarray:
-    """int32 per-vertex root, each component rooted at its smallest vertex.
-
-    A streaming union-find when the jit kernel is available (the peak
-    footprint is one parent array); otherwise a hand-packed csr for
-    scipy's labeling, float64 data so no cast copy happens inside,
-    renamed to smallest-member roots afterwards.
-    """
-    nv = sample.shape.vertex_count
-    if _numba is not None:
-        parent = np.arange(nv, dtype=np.int64)
-        for base, other in sample.open_edge_endpoints():
-            _union_edges_jit(parent, base, other)
-        _flatten_parents_jit(parent)
-        return parent.astype(np.int32)
-    total = sample.open_edge_count()
-    row = np.empty(total, dtype=np.int32)
-    col = np.empty(total, dtype=np.int32)
-    k = 0
-    for base, other in sample.open_edge_endpoints():
-        row[k : k + len(base)] = base
-        col[k : k + len(base)] = other
-        k += len(base)
-    graph = coo_matrix(
-        (np.ones(total, dtype=np.float64), (row, col)), shape=(nv, nv)
-    ).tocsr()
-    del row, col
-    ncomp, raw = _scipy_components(graph, directed=False)
-    del graph
-    # reversed assignment leaves each id's first (smallest) vertex
-    canon = np.empty(ncomp, dtype=np.int32)
-    canon[raw[::-1]] = np.arange(nv - 1, -1, -1, dtype=np.int32)
-    return canon[raw]
+# read by the environment stamp of perfbench/run.py until the benchmark
+# drops that field; component labelling has no numba path
+_numba = None
 
 
 def components(sample: PercolationSample) -> ComponentLabeling:
@@ -238,7 +178,12 @@ def components(sample: PercolationSample) -> ComponentLabeling:
             np.empty(0, dtype=np.int64),
             -1,
         )
-    labels = _component_roots(sample)
+    ncomp, raw = connected_components(_open_graph(sample), directed=False)
+    # reversed assignment leaves each id's first (smallest) vertex, so
+    # every component is named by its smallest vertex
+    canon = np.empty(ncomp, dtype=np.int32)
+    canon[raw[::-1]] = np.arange(nv - 1, -1, -1, dtype=np.int32)
+    labels = canon[raw]
     if sample.model.has_site_draws:
         labels = np.where(present, labels, np.int32(-1))
         sizes_full = np.bincount(labels[labels >= 0], minlength=nv)
@@ -352,9 +297,8 @@ def _evaluate_exact(sample: PercolationSample, img: np.ndarray) -> DistortionRep
     n = sample.shape.n
     nv = sample.shape.vertex_count
     distinct = np.unique(img)
-    dmat = np.empty((len(distinct), nv), dtype=np.int32)
-    for k, src in enumerate(distinct):
-        dmat[k] = bfs(sample, int(src)).dist
+    # every entry read lies in the images' one component, so none is inf
+    dmat = _distances(sample, distinct)
     img_idx = np.searchsorted(distinct, img)
 
     # stretch over cube edges only
@@ -375,7 +319,7 @@ def _evaluate_exact(sample: PercolationSample, img: np.ndarray) -> DistortionRep
     wit_minus = (0, 1)
     for a in range(nv - 1):
         b = np.arange(a + 1, nv)
-        dy = dmat[img_idx[a], img[b]].astype(np.float64)
+        dy = dmat[img_idx[a], img[b]]
         np.maximum(dy, 1.0, out=dy)
         dx = np.bitwise_count(np.uint64(a) ^ b.astype(np.uint64)).astype(np.float64)
         ratios = dy / dx
@@ -519,9 +463,7 @@ def brute_force_min_distortion(
         raise GiantTooSmall("sample has no present vertices")
     target = np.nonzero(labeling.labels == labeling.giant_label)[0].astype(np.int64)
 
-    dy = np.empty((len(target), len(target)), dtype=np.float64)
-    for k, src in enumerate(target):
-        dy[k] = bfs(sample, int(src)).dist[target]
+    dy = _distances(sample, target)[:, target]
     digits, best_d, best_plus, best_minus = _search_maps(
         n, dy.tolist(), np.maximum(dy, 1.0).tolist()
     )

@@ -11,10 +11,10 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import open_graph, oracle_cycles_through
+from conftest import MODEL_KINDS, open_graph, oracle_bfs, oracle_cycles_through, perc_model
 from cubeperc.cycles import (
     ClosedWalk,
     SimpleCycle,
@@ -209,20 +209,23 @@ class TestFindCyclesNear:
         got = {c.canonical() for c in res.cycles}
         assert got == oracle_cycles_through(g, 0, 8)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.3, 0.9), st.integers(0, 2**32), st.integers(0, 2))
-    def test_ball_census_matches_networkx(self, p, seed, radius):
-        # radius r collects every cycle that meets the distance-r ball
-        from conftest import oracle_bfs
-
-        sm = sample(CubeShape(4), PercModel.bond(p), seed)
+    def test_ball_census_matches_networkx(self, kind, p, seed, radius):
+        # radius r collects every cycle that meets the distance-r ball,
+        # rooted at the smallest present vertex
+        sm = sample(CubeShape(4), perc_model(kind, p), seed)
+        present = np.flatnonzero(sm.present_array())
+        assume(len(present) > 0)
+        root = int(present[0])
         g = open_graph(sm)
-        dist = oracle_bfs(sm, 0)
+        dist = oracle_bfs(sm, root)
         ball = {v for v, d in dist.items() if d <= radius}
         want = set()
         for v in ball:
             want |= oracle_cycles_through(g, v, 8)
-        res = find_cycles_near(sm, 0, 8, radius)
+        res = find_cycles_near(sm, root, 8, radius)
         assert {c.canonical() for c in res.cycles} == want
 
     def test_budget_marks_partial(self, full4):

@@ -4,6 +4,7 @@ golden verification, and process exit codes."""
 from __future__ import annotations
 
 import csv
+import json
 
 import pytest
 
@@ -230,6 +231,33 @@ class TestVerifyGoldens:
         assert by_file["within.csv"].ok
         assert not by_file["zbeyond.csv"].ok
         assert "z_score" in by_file["zbeyond.csv"].detail
+
+    def test_stale_schema_line_fails(self, tmp_path):
+        # comment lines are compared too, so a golden from another schema
+        # version cannot pass on matching rows
+        lines = run_sweep(SweepConfig(**self.CFG)).splitlines()
+        lines[0] = lines[0].replace(f"/{harness.SCHEMA_VERSION}", "/v0")
+        gold = tmp_path / "goldens"
+        self.write_golden(gold, text="\n".join(lines) + "\n")
+        report = verify_goldens(str(gold))
+        assert not report.passed
+        assert "line 1" in report.checks[0].detail
+
+    def test_loosened_tolerance_line_fails(self, tmp_path):
+        # tolerances come from the code; a golden that widens its own
+        # tolerance line cannot bless a drifted mc_mean
+        lines = run_sweep(SweepConfig(**self.CFG)).splitlines()
+        loose = dict(harness.TOLERANCES["moments"], mc_mean=100.0)
+        lines[2] = f"# tolerance: {json.dumps(loose, sort_keys=True)}"
+        col = lines[3].split(",").index("mc_mean")
+        row = lines[4].split(",")
+        row[col] = repr(float(row[col]) + 5.0)
+        lines[4] = ",".join(row)
+        gold = tmp_path / "goldens"
+        self.write_golden(gold, text="\n".join(lines) + "\n")
+        report = verify_goldens(str(gold))
+        assert not report.passed
+        assert "line 3" in report.checks[0].detail
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(MissingGolden):
