@@ -22,12 +22,10 @@ from .cycles import (
 )
 from .embedding import (
     FailureReport,
-    GoodnessCertificate,
     MomentEstimate,
     NeighborDistanceStats,
     analytic_moments,
     build_good_map,
-    is_good,
     mc_open_path_count,
     neighbor_distance_stats,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "FailureReport",
     "GiantTooSmall",
     "GoldenReport",
-    "GoodnessCertificate",
     "MissingGolden",
     "MomentEstimate",
     "NeighborDistanceStats",
@@ -115,7 +112,6 @@ __all__ = [
     "find_cycles_near",
     "hamming",
     "image_walk",
-    "is_good",
     "local_route",
     "make_partition",
     "mc_open_path_count",

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import ImagesDisconnected
 from .hypercube import flip_neighbors
-from .metrics import VertexMap, bfs
+from .metrics import VertexMap, _distances
 from .percolation import PercolationSample
 
 
@@ -82,19 +82,18 @@ def image_walk(
     if not cyc:
         raise ValueError("empty cycle")
     images = [vmap[v] for v in cyc]
-    fields: dict[int, object] = {}
+    targets = sorted(set(images))
+    to = dict(zip(targets, _distances(sample, targets)))
+    masks = sample.open_neighbor_masks_array()
 
     def arc(u: int, w: int) -> list[int]:
         if u == w:
             return [u]
-        if w not in fields:
-            fields[w] = bfs(sample, w)
-        dist = fields[w].dist
-        if dist[u] < 0:
+        dist = to[w]
+        if math.isinf(dist[u]):
             raise ImagesDisconnected(f"no open path between images {u} and {w}")
         path = [u]
         cur = u
-        masks = sample.open_neighbor_masks_array()
         while cur != w:
             step = dist[cur] - 1
             # smallest-id open neighbor one step closer to w

@@ -12,6 +12,7 @@ expected outcome and is returned as a report, not raised.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,7 +24,6 @@ from .hypercube import (
     CoordinatePartition,
     NeighborRetraceSpec,
     enumerate_paths,
-    flip_neighbors,
     path_edge_indices,
 )
 from .metrics import VertexMap, bounded_distance, components
@@ -41,15 +41,6 @@ SECOND_MOMENT_CAP = 10_000
 MC_CHUNK = 512
 
 
-@dataclass(frozen=True)
-class GoodnessCertificate:
-    """Witnesses that a vertex is good: each is reachable by an open
-    2-path along A-coordinates and differs in exactly two A-bits."""
-
-    vertex: int
-    witnesses: frozenset[int]
-
-
 @dataclass
 class FailureReport:
     """Vertices with no good neighbor one B-coordinate away."""
@@ -63,26 +54,25 @@ class FailureReport:
         return len(self.bad_vertices)
 
 
-def _coord_mask(coords) -> int:
-    mask = 0
-    for c in coords:
-        mask |= 1 << c
-    return mask
+def _good_vertices(sample: PercolationSample, partition: CoordinatePartition) -> np.ndarray:
+    """Goodness of every vertex at once, from the open-neighbour masks.
 
-
-def is_good(
-    sample: PercolationSample, v: int, partition: CoordinatePartition
-) -> Optional[GoodnessCertificate]:
-    """Certificate when v is good, else None.  Absent vertices are
-    never good (they have no open edges)."""
+    Each pair a1 < a2 of A coordinates names one witness,
+    v ^ 2^a1 ^ 2^a2, reached when the 2-path through v ^ 2^a1 or the
+    one through v ^ 2^a2 is open.  Absent vertices have mask 0, so they
+    are never good."""
     masks = sample.open_neighbor_masks_array()
-    a_bits = _coord_mask(partition.a_coords)
-    witnesses = set()
-    for mid in flip_neighbors(v, int(masks[v]) & a_bits):
-        witnesses.update(flip_neighbors(mid, int(masks[mid]) & a_bits & ~(mid ^ v)))
-    if len(witnesses) < 2 * partition.m:
-        return None
-    return GoodnessCertificate(v, frozenset(witnesses))
+
+    def across(a: int) -> np.ndarray:
+        # masks[v ^ 2^a] for every v, by swapping the halves of axis a
+        return masks.reshape(-1, 2, 1 << a)[:, ::-1].ravel()
+
+    witnesses = np.zeros(len(masks), dtype=np.int32)
+    for a1, a2 in itertools.combinations(partition.a_coords, 2):
+        via1 = (masks >> a1) & (across(a1) >> a2)
+        via2 = (masks >> a2) & (across(a2) >> a1)
+        witnesses += (via1 | via2) & 1
+    return witnesses >= 2 * partition.m
 
 
 def build_good_map(
@@ -92,9 +82,7 @@ def build_good_map(
     B-coordinate, lowest coordinate winning; x itself is not a
     candidate.  Returns the bad-vertex report when any x has none."""
     nv = sample.shape.vertex_count
-    good = np.fromiter(
-        (is_good(sample, v, partition) is not None for v in range(nv)), dtype=bool, count=nv
-    )
+    good = _good_vertices(sample, partition)
     x = np.arange(nv, dtype=np.int64)
     image = np.full(nv, -1, dtype=np.int64)
     for b in sorted(partition.b_coords, reverse=True):
@@ -118,14 +106,11 @@ class MomentEstimate:
     second_moment_exact: Optional[float]
 
 
-def _edge_table(shape, paths) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct edge indices of a path family, numbered in first-seen
-    order, and each path's edges as those numbers, a row per path."""
+def _numbered(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of equal-length rows, numbered in first-seen
+    order, and each row as those numbers."""
     numbers: dict[int, int] = {}
-    table = [
-        [numbers.setdefault(e, len(numbers)) for e in path_edge_indices(shape, path)]
-        for path in paths
-    ]
+    table = [[numbers.setdefault(x, len(numbers)) for x in row] for row in rows]
     return np.array(list(numbers), dtype=np.int64), np.array(table, dtype=np.int64)
 
 
@@ -142,7 +127,9 @@ def analytic_moments(spec: NeighborRetraceSpec, p: float) -> MomentEstimate:
     if size > SECOND_MOMENT_CAP:
         return MomentEstimate(size, length, mean, None)
 
-    edge_ids, epaths = _edge_table(spec.shape, enumerate_paths(spec))
+    edge_ids, epaths = _numbered(
+        path_edge_indices(spec.shape, path) for path in enumerate_paths(spec)
+    )
     rows = np.repeat(np.arange(size), length)
     member = coo_matrix(
         (np.ones(epaths.size, dtype=np.int32), (rows, epaths.ravel())),
@@ -168,16 +155,10 @@ def mc_open_path_count(
     """
     shape = spec.shape
     paths = list(enumerate_paths(spec))
-    edge_ids, epaths = _edge_table(shape, paths)
-
+    edge_ids, epaths = _numbered(path_edge_indices(shape, path) for path in paths)
     if model.has_site_draws:
-        offset = vertex_draw_offset(shape)
-        vert_ids = np.unique(np.array(paths, dtype=np.int64).ravel())
-        vert_pos = {int(v): k for k, v in enumerate(vert_ids)}
-        vpaths = np.array(
-            [[vert_pos[v] for v in row] for row in paths], dtype=np.int64
-        )
-        vdraw_ids = vert_ids + offset
+        vert_ids, vpaths = _numbered(paths)
+        vdraw_ids = vert_ids + vertex_draw_offset(shape)
 
     seeds = np.array([mix64(base_seed, t) for t in range(trials)], dtype=np.uint64)
     counts = np.empty(trials, dtype=np.int64)

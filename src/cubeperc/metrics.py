@@ -50,15 +50,13 @@ def _open_graph(sample: PercolationSample) -> csr_matrix:
     once, for scipy's csgraph routines with directed=False.  float64
     data, so no cast copy happens inside them."""
     nv = sample.shape.vertex_count
-    total = sample.open_edge_count()
-    row = np.empty(total, dtype=np.int32)
-    col = np.empty(total, dtype=np.int32)
-    k = 0
-    for base, other in sample.open_edge_endpoints():
-        row[k : k + len(base)] = base
-        col[k : k + len(base)] = other
-        k += len(base)
-    return coo_matrix((np.ones(total, dtype=np.float64), (row, col)), shape=(nv, nv)).tocsr()
+    # cast per coordinate, so the whole edge list is never held as int64
+    ends = (
+        (base.astype(np.int32), other.astype(np.int32))
+        for base, other in sample.open_edge_endpoints()
+    )
+    row, col = map(np.concatenate, zip(*ends))
+    return coo_matrix((np.ones(len(row), dtype=np.float64), (row, col)), shape=(nv, nv)).tocsr()
 
 
 def _distances(sample: PercolationSample, sources) -> np.ndarray:

@@ -14,7 +14,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from cubeperc.embedding import FailureReport, is_good
+from cubeperc.embedding import FailureReport
 from cubeperc.hypercube import CubeShape
 from cubeperc.metrics import VertexMap
 from cubeperc.percolation import PercModel, sample
@@ -117,6 +117,22 @@ def oracle_min_distortion(sm) -> tuple[list[int], float, float, float]:
     return best
 
 
+def oracle_is_good(sm, v: int, partition) -> bool:
+    """Goodness from the definition, one edge query at a time: v is good
+    when at least 2m vertices v ^ 2^a1 ^ 2^a2 (a1 != a2 in A) end an
+    open 2-path v, v ^ 2^a1, v ^ 2^a1 ^ 2^a2."""
+    witnesses = set()
+    for a1 in partition.a_coords:
+        mid = v ^ (1 << a1)
+        if sm.edge_open(v, mid):
+            witnesses.update(
+                mid ^ (1 << a2)
+                for a2 in partition.a_coords
+                if a2 != a1 and sm.edge_open(mid, mid ^ (1 << a2))
+            )
+    return len(witnesses) >= 2 * partition.m
+
+
 def oracle_good_map(sm, partition):
     """The good map by a scan over source vertices: each x takes the
     first good x ^ (1 << b) over ascending B coordinates, goodness
@@ -130,7 +146,7 @@ def oracle_good_map(sm, partition):
         for b in sorted(partition.b_coords):
             cand = x ^ (1 << b)
             if cache[cand] < 0:
-                cache[cand] = is_good(sm, cand, partition) is not None
+                cache[cand] = oracle_is_good(sm, cand, partition)
             if cache[cand]:
                 chosen = cand
                 break

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_good_map
+from conftest import MODEL_KINDS, oracle_good_map, oracle_is_good, perc_model
 from cubeperc.embedding import (
     FailureReport,
-    GoodnessCertificate,
+    _good_vertices,
     analytic_moments,
     build_good_map,
-    is_good,
     mc_open_path_count,
     neighbor_distance_stats,
 )
@@ -33,63 +32,76 @@ def n16_partition():
     return make_partition(CubeShape(16), 0.01)
 
 
+def assert_good_matches_oracle(sm, part):
+    good = _good_vertices(sm, part)
+    assert good.dtype == bool
+    want = [oracle_is_good(sm, v, part) for v in range(sm.shape.vertex_count)]
+    assert good.tolist() == want
+    return good
+
+
 class TestIsGood:
     def test_full_cube_boundary(self):
         # m=5 sits exactly on the boundary: C(5,2) = 10 = 2m witnesses
         part = n16_partition()
-        assert part.m == 5
+        assert part.m == 5 and math.comb(part.m, 2) == 2 * part.m
         full = sample(CubeShape(16), PercModel.bond(1.0), 0)
-        cert = is_good(full, 0, part)
-        assert cert is not None
-        assert len(cert.witnesses) == 10
-        a_bits = sum(1 << a for a in part.a_coords)
-        for w in cert.witnesses:
-            assert w.bit_count() == 2 and w & ~a_bits == 0
+        assert _good_vertices(full, part).all()
+        assert oracle_is_good(full, 0, part)
 
     def test_p0_not_good(self):
         empty = sample(CubeShape(16), PercModel.bond(0.0), 0)
-        assert is_good(empty, 0, n16_partition()) is None
+        assert not _good_vertices(empty, n16_partition()).any()
 
     def test_absent_vertex_not_good(self):
-        sm = sample(CubeShape(16), PercModel.site(0.0), 0)
-        assert is_good(sm, 0, n16_partition()) is None
+        part = n16_partition()
+        sm = sample(CubeShape(16), PercModel.site(0.95), 1)
+        absent = ~sm.present_array()
+        good = _good_vertices(sm, part)
+        assert absent.any() and good.any()
+        assert not good[absent].any()
+        assert not _good_vertices(sample(CubeShape(16), PercModel.site(0.0), 0), part).any()
 
     @pytest.mark.parametrize("model", [PercModel.bond(0.9), PercModel.site(0.9)], ids=["bond", "site"])
     def test_matches_edge_open_witness_count(self, model):
-        # witnesses straight from the definition, one edge query at a time
         part = n16_partition()
         sm = sample(CubeShape(16), model, 1)
+        good = _good_vertices(sm, part)
         stream = CounterStream(2)
         verdicts = set()
         for _ in range(100):
             v = stream.below(1 << 16)
-            witnesses = {
-                v ^ (1 << a1) ^ (1 << a2)
-                for a1 in part.a_coords
-                for a2 in part.a_coords
-                if a1 != a2
-                and sm.edge_open(v, v ^ (1 << a1))
-                and sm.edge_open(v ^ (1 << a1), v ^ (1 << a1) ^ (1 << a2))
-            }
-            cert = is_good(sm, v, part)
-            good = len(witnesses) >= 2 * part.m
-            assert (cert is not None) == good
-            if good:
-                assert cert == GoodnessCertificate(v, frozenset(witnesses))
-            verdicts.add(good)
+            assert good[v] == oracle_is_good(sm, v, part)
+            verdicts.add(bool(good[v]))
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_small_cubes_match_oracle(self, n, kind):
+        # m < 5 below n = 16, so C(m, 2) < 2m and no vertex can be good
+        shape = CubeShape(n)
+        for alpha in (0.01, 0.05):
+            part = make_partition(shape, alpha)
+            for seed in range(2):
+                sm = sample(shape, perc_model(kind, n**-alpha), seed)
+                assert not assert_good_matches_oracle(sm, part).any()
+
+    @pytest.mark.parametrize("p", [0.9, 0.95])
+    def test_n16_matches_oracle(self, p):
+        sm = sample(CubeShape(16), PercModel.bond(p), 1)
+        good = assert_good_matches_oracle(sm, n16_partition())
+        assert good.any() and not good.all()
+
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(0, 2**16 - 1))
-    def test_monotone_in_p(self, seed, v):
+    @given(st.integers(0, 2**32))
+    def test_monotone_in_p(self, seed):
         # same seed, larger p: draws_below nests the open sets, so
         # goodness can only appear, never vanish
         part = n16_partition()
         shape = CubeShape(16)
-        lo = sample(shape, PercModel.bond(0.85), seed)
-        hi = sample(shape, PercModel.bond(0.95), seed)
-        if is_good(lo, v, part) is not None:
-            assert is_good(hi, v, part) is not None
+        lo = _good_vertices(sample(shape, PercModel.bond(0.85), seed), part)
+        hi = _good_vertices(sample(shape, PercModel.bond(0.95), seed), part)
+        assert not (lo & ~hi).any()
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +142,21 @@ class TestBuildGoodMap:
         for x in (0, 17, 4095, 65535):
             fx = int(built.image[x])
             assert fx != x
-            assert is_good(sm, fx, part) is not None
+            assert oracle_is_good(sm, fx, part)
+
+    def test_n20_builds(self):
+        shape = CubeShape(20)
+        part = make_partition(shape, 0.05)
+        sm = sample(shape, PercModel.bond(20**-0.05), 0)
+        built = build_good_map(sm, part)
+        assert isinstance(built, VertexMap)
+        b_mask = sum(1 << b for b in part.b_coords)
+        stream = CounterStream(0)
+        for _ in range(20):
+            x = stream.below(1 << 20)
+            fx = int(built.image[x])
+            assert (fx ^ x).bit_count() == 1 and (fx ^ x) & ~b_mask == 0
+            assert oracle_is_good(sm, fx, part)
 
 
 def assert_same_build(got, want):

@@ -1,5 +1,6 @@
 """The package's public surface: `__all__` as `from cubeperc import *`
-sees it, and the dependencies it declares."""
+sees it, the dependencies it declares, and that every public name has a
+reader."""
 
 import ast
 import re
@@ -45,3 +46,43 @@ def test_declared_dependencies_cover_imports():
     third_party = imported - set(sys.stdlib_module_names) - {"cubeperc"}
     assert {"numpy", "scipy"} <= third_party  # the scan reached the package
     assert third_party <= declared_dependencies()
+
+
+def _defined(stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def _referenced(tree) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def test_every_public_name_is_used():
+    # a public top-level name must be reached from the package itself
+    # (outside its own definition), the acceptance gates or the
+    # benchmark; deserialize reads the files `sample --out` writes
+    public, seen = set(), set()
+    for path in (ROOT / "src" / "cubeperc").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _defined(stmt)
+            public |= {name for name in names if not name.startswith("_")}
+            seen |= _referenced(stmt) - names
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
+        seen |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
+    assert "build_good_map" in public  # the scan reached the package
+    assert public - seen == {"deserialize"}
