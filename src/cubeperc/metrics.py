@@ -105,10 +105,11 @@ def bounded_distance(
         nxt = []
         for w in frontier:
             # the set-bit walk is written out rather than taken from
-            # flip_neighbors: this is the hot loop of sampled distortion,
-            # and through the helper 128 far-pair searches on an n = 16
-            # dense sample took 1.52-2.06 s against 1.51-1.57 s inline
-            # (2-core x86 box)
+            # flip_neighbors: this loop is hot in neighbor_distance_stats
+            # (cutoff searches at n = 20) and the stretch pairs of
+            # sampled distortion, and through the helper 128 far-pair
+            # searches on an n = 16 dense sample took 1.52-2.06 s
+            # against 1.51-1.57 s inline (2-core x86 box)
             m = int(masks[w])
             while m:
                 low = m & -m
@@ -130,6 +131,58 @@ def bounded_distance(
     if cutoff is not None and best > cutoff:
         return None
     return int(best)
+
+
+PAIR_BATCH = 64
+
+
+def _pair_distances(sample: PercolationSample, us, vs) -> list[Optional[int]]:
+    """Open-graph distances d(us[i], vs[i]) for up to 64 pairs at once,
+    None where a pair is unreachable.
+
+    Multi-source BFS (Then et al., VLDB 2014): bit i of a vertex's
+    uint64 word stands for the search from us[i], so every search
+    advances one level per sweep over the cube.  A step along
+    coordinate c is the swap of the two halves of the middle axis of
+    the word array viewed as (2^(n-c-1), 2, 2^c), kept where bit c of
+    the mask array says the edge is open.
+    """
+    k = len(us)
+    if not 0 < k <= PAIR_BATCH or len(vs) != k:
+        raise ValueError(f"need 1 to {PAIR_BATCH} pairs of equal length, got {k}")
+    n = sample.shape.n
+    nv = sample.shape.vertex_count
+    masks = sample.open_neighbor_masks_array()
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+
+    dist = np.where(us == vs, 0, -1)
+    frontier = np.zeros(nv, dtype=np.uint64)
+    np.bitwise_or.at(frontier, us, bits)
+    unvisited = ~frontier
+    nxt = np.empty_like(frontier)
+    # per coordinate, built once per batch: the view shape and its open bits
+    views = []
+    for c in range(n):
+        shape3 = (nv >> (c + 1), 2, 1 << c)
+        open_c = (masks & np.uint32(1 << c)).astype(bool).reshape(shape3)
+        views.append((shape3, open_c))
+    level = 0
+    while (dist < 0).any():
+        level += 1
+        nxt.fill(0)
+        for shape3, open_c in views:
+            step = frontier.reshape(shape3)[:, ::-1, :]
+            nxt3 = nxt.reshape(shape3)
+            np.bitwise_or(nxt3, step, out=nxt3, where=open_c)
+        nxt &= unvisited
+        if not nxt.any():
+            break
+        unvisited ^= nxt
+        dist[(dist < 0) & ((nxt[vs] & bits) != 0)] = level
+        frontier, nxt = nxt, frontier
+    return [None if d < 0 else d for d in dist.tolist()]
 
 
 @dataclass
@@ -261,17 +314,21 @@ def evaluate_distortion(
 ) -> DistortionReport:
     """Distortion of vmap from the full cube metric into the sample.
 
-    Exact mode runs BFS from every distinct image and scans all pairs;
-    it is capped at n <= EXACT_CAP_DEFAULT.  Sampled mode evaluates
-    pair_count adjacent pairs for the stretch side and pair_count
-    arbitrary pairs for the contraction side, giving a valid lower bound
-    on D.
+    Exact mode takes the distances from every distinct image in one
+    scipy call and scans all pairs; it is capped at n <=
+    EXACT_CAP_DEFAULT.  Sampled mode evaluates pair_count adjacent pairs
+    for the stretch side, each by the scalar bounded_distance, and
+    pair_count arbitrary pairs for the contraction side, batched
+    PAIR_BATCH (64) per uint64 word in one multi-source BFS, giving a
+    valid lower bound on D.  pair_count must be positive in sampled mode.
     """
     n = sample.shape.n
     nv = sample.shape.vertex_count
     img = vmap.image
     if len(img) != nv:
         raise ValueError("map length does not match the cube")
+    if mode == "sampled" and pair_count <= 0:
+        raise ValueError(f"sampled mode needs a positive pair_count, got {pair_count}")
     present = sample.present_array()
     if not present[img].all():
         missing = int(np.nonzero(~present[img])[0][0])
@@ -359,14 +416,24 @@ def _evaluate_sampled(
             best_plus = dy
             wit_plus = (a, b)
 
-    best_minus = math.inf
-    wit_minus = None
+    pairs = []
     for _ in range(pair_count):
         a = stream.below(nv)
         b = stream.below(nv)
         while b == a:
             b = stream.below(nv)
-        dy = bounded_distance(sample, int(img[a]), int(img[b]))
+        pairs.append((a, b))
+    # all distances first, PAIR_BATCH searches per sweep; then the scan
+    # in draw order keeps the first-strict-minimum witness
+    ends = img[np.array(pairs, dtype=np.int64)]
+    dys = []
+    for lo in range(0, pair_count, PAIR_BATCH):
+        batch = ends[lo : lo + PAIR_BATCH]
+        dys += _pair_distances(sample, batch[:, 0], batch[:, 1])
+
+    best_minus = math.inf
+    wit_minus = None
+    for (a, b), dy in zip(pairs, dys):
         if dy is None:
             return _infinite_report("sampled", (a, b))
         ratio = max(1.0, float(dy)) / float(hamming(a, b))

@@ -50,7 +50,14 @@ def local_route(
     Expansion proceeds level by level, smaller frontier first; each
     side's ball radius is capped by radius_budget.  Returns Found with
     the shortest discovered path, NotFound when a reachable set is
-    exhausted without contact, or BudgetExhausted."""
+    exhausted without contact, or BudgetExhausted.
+
+    A Found path is a shortest path, also when the query budget stops a
+    level partway.  While no meeting is known, the balls are complete
+    to radii rx and ry and no path is shorter than rx + ry + 1; every
+    meeting made while growing one ball a level further is at most that
+    long.  So the first meeting is a shortest path, and the loop stops
+    on it whether the level completes or not."""
     if not sample.vertex_present(x):
         raise SourceAbsent(f"route start {x} is not present")
     shape = sample.shape

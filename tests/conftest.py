@@ -8,6 +8,7 @@ checked against code that shares no implementation with the package.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import networkx as nx
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 from cubeperc.embedding import FailureReport
-from cubeperc.hypercube import CubeShape
-from cubeperc.metrics import VertexMap
-from cubeperc.percolation import PercModel, sample
+from cubeperc.hypercube import CubeShape, hamming
+from cubeperc.metrics import DistortionReport, VertexMap, bounded_distance
+from cubeperc.percolation import CounterStream, PercModel, sample
 
 # one line per acceptance gate, echoed at the end of the run so the
 # verdicts survive pytest's output capture
@@ -115,6 +116,48 @@ def oracle_min_distortion(sm) -> tuple[list[int], float, float, float]:
         if best is None or d < best[3]:
             best = (list(image), d_plus, d_minus, d)
     return best
+
+
+def oracle_sampled_distortion(sm, vmap, pair_count: int, seed: int) -> DistortionReport:
+    """Sampled distortion by one scalar bounded_distance search per
+    pair, in draw order: pair_count adjacent pairs for the stretch, then
+    pair_count distinct pairs for the contraction, from one
+    CounterStream(seed).  Witnesses are the first strict extrema; a pair
+    with no path ends the scan with an infinite report.  This is the
+    reference the batched contraction side must reproduce exactly, so
+    it shares the package's scalar search and pair stream."""
+    nv, n = sm.shape.vertex_count, sm.shape.n
+    img = vmap.image
+    stream = CounterStream(seed)
+
+    def infinite(witness):
+        return DistortionReport(math.inf, 0.0, math.inf, witness, None, "sampled", None, True)
+
+    best_plus, wit_plus = 0, None
+    for _ in range(pair_count):
+        a = stream.below(nv)
+        b = a ^ (1 << stream.below(n))
+        dy = bounded_distance(sm, int(img[a]), int(img[b]))
+        if dy is None:
+            return infinite((a, b))
+        if dy > best_plus:
+            best_plus, wit_plus = dy, (a, b)
+    best_minus, wit_minus = math.inf, None
+    for _ in range(pair_count):
+        a = stream.below(nv)
+        b = stream.below(nv)
+        while b == a:
+            b = stream.below(nv)
+        dy = bounded_distance(sm, int(img[a]), int(img[b]))
+        if dy is None:
+            return infinite((a, b))
+        ratio = max(1.0, float(dy)) / float(hamming(a, b))
+        if ratio < best_minus:
+            best_minus, wit_minus = ratio, (a, b)
+    d_plus = max(1.0, float(best_plus))
+    return DistortionReport(
+        d_plus, best_minus, d_plus / best_minus, wit_plus, wit_minus, "sampled", 2 * pair_count
+    )
 
 
 def oracle_is_good(sm, v: int, partition) -> bool:

@@ -8,12 +8,17 @@ from conftest import (
     oracle_bfs,
     oracle_components,
     oracle_min_distortion,
+    oracle_sampled_distortion,
     perc_model,
 )
 from cubeperc.errors import CapExceeded, SourceAbsent, TooLarge
 from cubeperc.hypercube import CubeShape, hamming
+from cubeperc.embedding import build_good_map
+from cubeperc.hypercube import make_partition
 from cubeperc.metrics import (
+    PAIR_BATCH,
     VertexMap,
+    _pair_distances,
     bfs,
     bounded_distance,
     brute_force_min_distortion,
@@ -86,6 +91,41 @@ def test_bounded_distance_cutoff(full4):
     assert bounded_distance(full4, 0, 15, cutoff=3) is None
     assert bounded_distance(full4, 0, 15, cutoff=4) == 4
     assert bounded_distance(full4, 7, 7, cutoff=0) == 0
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_scalar_searches(self, kind, n):
+        # p = 0.35 leaves several components, so some pairs have no
+        # path; every seventh pair is u == v
+        sm = sample(CubeShape(n), perc_model(kind, 0.35), n)
+        rng = np.random.default_rng(n)
+        us = rng.integers(0, 2**n, PAIR_BATCH)
+        vs = rng.integers(0, 2**n, PAIR_BATCH)
+        vs[::7] = us[::7]
+        want = [bounded_distance(sm, int(u), int(v)) for u, v in zip(us, vs)]
+        assert None in want and 0 in want
+        for u, v, d in zip(us.tolist(), vs.tolist(), want):
+            if sm.vertex_present(u):
+                assert bfs(sm, u).distance(v) == d
+        for size in (1, 63, 64):
+            assert _pair_distances(sm, us[:size], vs[:size]) == want[:size]
+
+    def test_far_pairs_on_dense_n16(self):
+        n = 16
+        sm = sample(CubeShape(n), PercModel.bond(n**-0.01), 3)
+        rng = np.random.default_rng(0)
+        us = rng.integers(0, 2**n, PAIR_BATCH)
+        vs = rng.integers(0, 2**n, PAIR_BATCH)
+        want = [bounded_distance(sm, int(u), int(v)) for u, v in zip(us, vs)]
+        assert sorted(want)[PAIR_BATCH // 2] >= 8
+        assert _pair_distances(sm, us, vs) == want
+
+    @pytest.mark.parametrize("size", [0, PAIR_BATCH + 1])
+    def test_batch_size_bounds(self, full3, size):
+        with pytest.raises(ValueError):
+            _pair_distances(full3, [0] * size, [1] * size)
 
 
 class TestComponents:
@@ -189,6 +229,42 @@ class TestEvaluateDistortion:
         )
         assert sampled.d_plus <= exact.d_plus + 1e-12
         assert sampled.distortion <= exact.distortion + 1e-12
+
+
+    @pytest.mark.parametrize("pair_count", [0, -3])
+    def test_sampled_rejects_non_positive_pair_count(self, full3, pair_count):
+        with pytest.raises(ValueError):
+            evaluate_distortion(
+                full3, VertexMap.identity(CubeShape(3)), "sampled", pair_count=pair_count
+            )
+
+
+class TestSampledMatchesScalarOracle:
+    """Batched sampled distortion against the one-search-per-pair loop:
+    pair counts on both sides of a 64-pair batch and a partial last one."""
+
+    PAIR_COUNTS = [1, 64, 65, 200]
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("pair_count", PAIR_COUNTS)
+    def test_small_cube(self, kind, pair_count):
+        n = 7
+        sm = sample(CubeShape(n), perc_model(kind, 0.7), 5)
+        giant = np.flatnonzero(components(sm).giant_mask())
+        # an arbitrary map into the giant, so distances are nontrivial
+        vmap = VertexMap(giant[np.arange(2**n) * 37 % len(giant)])
+        got = evaluate_distortion(sm, vmap, "sampled", pair_count=pair_count, seed=pair_count)
+        assert not got.infinite
+        assert got == oracle_sampled_distortion(sm, vmap, pair_count, pair_count)
+
+    @pytest.mark.parametrize("pair_count", PAIR_COUNTS)
+    def test_dense_map_n16(self, pair_count):
+        # gate 6's cell: the good map built at n = 16, alpha = 0.01
+        shape = CubeShape(16)
+        sm = sample(shape, PercModel.bond(16**-0.01), 3)
+        vmap = build_good_map(sm, make_partition(shape, 0.01))
+        got = evaluate_distortion(sm, vmap, "sampled", pair_count=pair_count, seed=11)
+        assert got == oracle_sampled_distortion(sm, vmap, pair_count, 11)
 
 
 class TestBruteForce:

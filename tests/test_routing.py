@@ -143,3 +143,43 @@ def test_found_paths_are_shortest(kind, n, p, seed, pair):
         assert tr.outcome == NOT_FOUND
         assert y not in dist
     assert audit_locality(tr)
+
+
+def test_budget_cut_mid_level_keeps_a_shortest_path(full4):
+    # x's first level takes four queries; y's first query reaches 2,
+    # which x already holds, and the budget then stops y's level partway
+    tr = local_route(full4, 0, 3, 4, 5)
+    assert tr.outcome == FOUND
+    assert tr.queries == 5 < local_route(full4, 0, 3, 4, BIG).queries
+    assert len(tr.path) - 1 == 2
+    assert_open_path(full4, tr)
+    assert audit_locality(tr)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    p=st.floats(0.3, 0.95),
+    seed=st.integers(0, 2**32),
+    pair=st.tuples(st.integers(0, 31), st.integers(0, 31)),
+)
+def test_every_query_budget_keeps_outcomes_conclusive(kind, n, p, seed, pair):
+    # a budget that stops a level partway may end the route, but a path
+    # it returns is still shortest and a miss still means unreachable
+    sm = sample(CubeShape(n), perc_model(kind, p), seed)
+    present = np.flatnonzero(sm.present_array())
+    assume(len(present) > 0)
+    x, y = int(present[pair[0] % len(present)]), pair[1] % 2**n
+    dist = oracle_bfs(sm, x)
+    full = local_route(sm, x, y, n, BIG)
+    for budget in range(1, full.queries + 1):
+        tr = local_route(sm, x, y, n, budget)
+        assert tr.queries <= budget
+        if tr.outcome == FOUND:
+            assert_open_path(sm, tr)
+            assert len(tr.path) - 1 == dist[y]
+        elif tr.outcome == NOT_FOUND:
+            assert y not in dist
+        else:
+            assert tr.outcome == BUDGET_EXHAUSTED and tr.path is None
