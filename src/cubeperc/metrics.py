@@ -50,12 +50,7 @@ def _open_graph(sample: PercolationSample) -> csr_matrix:
     once, for scipy's csgraph routines with directed=False.  float64
     data, so no cast copy happens inside them."""
     nv = sample.shape.vertex_count
-    # cast per coordinate, so the whole edge list is never held as int64
-    ends = (
-        (base.astype(np.int32), other.astype(np.int32))
-        for base, other in sample.open_edge_endpoints()
-    )
-    row, col = map(np.concatenate, zip(*ends))
+    row, col = map(np.concatenate, zip(*sample.open_edge_endpoints()))
     return coo_matrix((np.ones(len(row), dtype=np.float64), (row, col)), shape=(nv, nv)).tocsr()
 
 
@@ -221,8 +216,10 @@ _numba = None
 def components(sample: PercolationSample) -> ComponentLabeling:
     """Exact labeling of the open graph's connected components."""
     nv = sample.shape.vertex_count
-    present = sample.present_array()
-    if not present.any():
+    # a bond sample has every vertex, so it skips the presence array
+    site = sample.model.has_site_draws
+    present = sample.present_array() if site else None
+    if site and not present.any():
         return ComponentLabeling(
             np.full(nv, -1, dtype=np.int32),
             np.empty(0, dtype=np.int64),
@@ -235,7 +232,7 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     canon = np.empty(ncomp, dtype=np.int32)
     canon[raw[::-1]] = np.arange(nv - 1, -1, -1, dtype=np.int32)
     labels = canon[raw]
-    if sample.model.has_site_draws:
+    if site:
         labels = np.where(present, labels, np.int32(-1))
         sizes_full = np.bincount(labels[labels >= 0], minlength=nv)
     else:

@@ -49,7 +49,9 @@ DEFAULT_DIMENSION_CAP = 26
 FORMAT_MAGIC = b"CPRC"
 FORMAT_VERSION = 1
 
-_CHUNK = 1 << 21  # draws per vectorized block; keeps peak memory modest
+# draws per vectorized block: small enough that the block's uint64
+# working buffers stay in L2 instead of streaming through memory
+_CHUNK = 1 << 15
 
 
 def mix64(seed: int, index: int) -> int:
@@ -64,10 +66,14 @@ def _mix64_array(seed, indices: np.ndarray) -> np.ndarray:
     broadcasts against indices (a column of seeds gives a grid)."""
     if not isinstance(seed, np.ndarray):
         seed = np.uint64(seed & M64)
-    z = (indices.astype(np.uint64) * np.uint64(GOLDEN)) ^ seed
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_B)
-    return z ^ (z >> np.uint64(31))
+    # the broadcasting xor allocates the result; the rest works in place
+    z = (indices.astype(np.uint64, copy=False) * np.uint64(GOLDEN)) ^ seed
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(MIX_A)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(MIX_B)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def draws_below(seed, indices: np.ndarray, threshold: int) -> np.ndarray:
@@ -233,40 +239,45 @@ class PercolationSample:
         lo, hi = start >> 3, (start + half + 7) >> 3
         bits = np.unpackbits(self._edge_bits[lo:hi], bitorder="little")
         skip = start - (lo << 3)
-        return bits[skip : skip + half].astype(bool)
+        return bits[skip : skip + half].view(bool)
 
-    def open_edge_endpoints(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per coordinate, (base, other) vertex arrays of the open edges."""
+    def _open_slices(self) -> Iterator[np.ndarray]:
+        """Per coordinate c, the open edges along c as a boolean
+        (2^(n-c-1), 1, 2^c) array indexed [i, 0, j] by compressed base id
+        i * 2^c + j.  A vertex array viewed as (2^(n-c-1), 2, 2^c) holds
+        that edge's two ends at [i, 0, j] and [i, 1, j]."""
         n = self.shape.n
-        half = 1 << (n - 1)
         present = self.present_array() if self.model.has_site_draws else None
         for c in range(n):
-            bits = self.edge_draw_slice(c)
-            comp = np.nonzero(bits)[0]
-            low = comp & ((1 << c) - 1)
-            base = ((comp >> c) << (c + 1)) | low
-            other = base | (1 << c)
+            shape3 = (1 << (n - c - 1), 2, 1 << c)
+            open_c = self.edge_draw_slice(c).reshape(shape3[0], 1, shape3[2])
             if present is not None:
-                keep = present[base] & present[other]
-                base, other = base[keep], other[keep]
-            yield base.astype(np.int64), other.astype(np.int64)
+                ends = present.reshape(shape3)
+                open_c = open_c & ends[:, :1] & ends[:, 1:]
+            yield open_c
+
+    def open_edge_endpoints(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per coordinate c, int32 (base, other) vertex arrays of the open
+        edges: base ascending with bit c clear, other = base + 2^c.
+        int32 holds every vertex up to the hard cap of n = 30."""
+        for c, open_c in enumerate(self._open_slices()):
+            comp = np.flatnonzero(open_c).astype(np.int32)
+            base = comp + ((comp >> c) << c)  # a 0 inserted at bit c
+            yield base, base + (1 << c)
 
     def open_neighbor_masks_array(self) -> np.ndarray:
         """uint32 per-vertex masks of open incident edges, cached."""
         if self._mask_cache is None:
             masks = np.zeros(self.shape.vertex_count, dtype=np.uint32)
-            for c, (base, other) in enumerate(self.open_edge_endpoints()):
-                bit = np.uint32(1 << c)
-                masks[base] |= bit
-                masks[other] |= bit
+            for c, open_c in enumerate(self._open_slices()):
+                # both ends of each edge at once, through the paired view
+                ends = masks.reshape(open_c.shape[0], 2, open_c.shape[2])
+                ends |= open_c.astype(np.uint32) << np.uint32(c)
             self._mask_cache = masks
         return self._mask_cache
 
     def open_edge_count(self) -> int:
-        total = 0
-        for base, _ in self.open_edge_endpoints():
-            total += len(base)
-        return total
+        return sum(int(np.count_nonzero(open_c)) for open_c in self._open_slices())
 
     # -- serialization ---------------------------------------------------
 

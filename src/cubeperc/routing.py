@@ -117,12 +117,10 @@ def local_route(
         can_x = bool(frontier["x"]) and radius["x"] < radius_budget
         can_y = bool(frontier["y"]) and radius["y"] < radius_budget
         if not can_x and not can_y:
-            if best is not None:
-                outcome = FOUND
-            elif not frontier["x"] or not frontier["y"]:
-                outcome = NOT_FOUND  # a reachable set was exhausted
-            else:
-                outcome = BUDGET_EXHAUSTED
+            # no meeting is known (one ends the loop at the check above)
+            # and both frontiers are non-empty (an emptied one ends it
+            # below), so only the radius budget stops both sides
+            outcome = BUDGET_EXHAUSTED
             break
         if can_x and (not can_y or len(frontier["x"]) <= len(frontier["y"])):
             side, other = "x", "y"

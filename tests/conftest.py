@@ -55,6 +55,22 @@ def open_edge_set(sm) -> set[tuple[int, int]]:
     return out
 
 
+def oracle_masks(sm) -> np.ndarray:
+    """The per-vertex open-neighbour masks by the scatter build: per
+    coordinate, find the drawn edges, keep those with both ends present
+    and set bit c at both ends."""
+    present = sm.present_array()
+    masks = np.zeros(sm.shape.vertex_count, dtype=np.uint32)
+    for c in range(sm.shape.n):
+        comp = np.nonzero(sm.edge_draw_slice(c))[0]
+        base = ((comp >> c) << (c + 1)) | (comp & ((1 << c) - 1))
+        other = base | (1 << c)
+        keep = present[base] & present[other]
+        masks[base[keep]] |= np.uint32(1 << c)
+        masks[other[keep]] |= np.uint32(1 << c)
+    return masks
+
+
 def oracle_bfs(sm, source: int) -> dict[int, int]:
     """Plain dict BFS over the open graph."""
     dist = {source: 0}

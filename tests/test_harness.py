@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import pytest
 
 from cubeperc import harness
 from cubeperc.cli import main
-from cubeperc.errors import ConfigError, MissingGolden
+from cubeperc.errors import ConfigError, DimensionTooSmall, MissingGolden
 from cubeperc.harness import (
     KIND_COLUMNS,
     SweepConfig,
@@ -18,6 +19,8 @@ from cubeperc.harness import (
     run_sweep,
     verify_goldens,
 )
+from cubeperc.hypercube import make_partition
+from cubeperc.metrics import EXACT_CAP_DEFAULT
 from cubeperc.percolation import deserialize
 
 
@@ -120,6 +123,22 @@ class TestSweepCsv:
         assert byn["10"]["error"] == ""
         assert byn["10"]["built"] == "0"
         assert float(byn["10"]["bad_frac"]) == 1.0
+
+    def test_no_map_builds_within_the_exact_cap(self):
+        # a vertex is good only with at least 2m witnesses among the
+        # C(m, 2) pairs of A coordinates, which needs m >= 5; no alpha
+        # in (0, 1/2) gives that below n = 16, so a distortion row never
+        # has a map to evaluate at n <= EXACT_CAP_DEFAULT
+        assert EXACT_CAP_DEFAULT < 16
+        for n in range(1, 16):
+            for alpha in (k / 1000 for k in range(1, 500)):
+                try:
+                    m = make_partition(n, alpha).m
+                except DimensionTooSmall:
+                    continue
+                assert math.comb(m, 2) < 2 * m, (n, alpha)
+        m = make_partition(16, 0.01).m
+        assert math.comb(m, 2) >= 2 * m
 
     def test_bug_in_a_cell_propagates(self, tmp_path, monkeypatch):
         # only CubePercError outcomes belong in the error column; a bug

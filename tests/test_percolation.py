@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import open_edge_set
+from conftest import open_edge_set, oracle_masks
+from cubeperc import percolation
 from cubeperc.errors import BadMagic, LengthMismatch, NotAdjacent, VersionMismatch
 from cubeperc.hypercube import CubeShape
 from cubeperc.percolation import (
@@ -107,8 +109,10 @@ def test_edge_open_rejects_equal_vertices():
 )
 def test_draws_match_scalar_definition(model):
     # the scalar mix64 is the oracle for the array kernel behind the bitsets:
-    # edge k is drawn at index k, vertex v at vertex_draw_offset + v
-    for n in range(2, 9):
+    # edge k is drawn at index k, vertex v at vertex_draw_offset + v.  At
+    # n = 13 a draw block boundary falls inside the 53248 edge draws and
+    # the last block is short
+    for n in (*range(2, 9), 13):
         shape = CubeShape(n)
         off = vertex_draw_offset(shape)
         for seed in (0, 12345, M64):
@@ -121,6 +125,69 @@ def test_draws_match_scalar_definition(model):
                 not model.has_site_draws or mix64(seed, off + v) < model.site_threshold
                 for v in range(shape.vertex_count)
             ]
+
+
+def _draws_at(sm, k: int) -> bool:
+    # edge draw k, or vertex draw k - edge_count, as the sample holds it
+    ne = sm.shape.edge_count
+    if k < ne:
+        return sm._edge_draw(k)
+    return sm._vertex_draw(k - ne)
+
+
+def _chunk_edges(count: int) -> list[int]:
+    # per _draw_bitset call of `count` draws: the last draw of every full
+    # chunk, the first of the next, and the call's last draw
+    chunk = percolation._CHUNK
+    idx = {count - 1}
+    for k in range(1, (count - 1) // chunk + 1):
+        idx.update((k * chunk - 1, k * chunk))
+    return sorted(idx)
+
+
+@pytest.mark.parametrize(
+    "model", [PercModel.site(0.6), PercModel.mixed(0.7, 0.6)], ids=["site", "mixed"]
+)
+def test_draws_at_chunk_boundaries(model):
+    # n = 17: the vertex draws span several chunks; check both sides of
+    # each chunk boundary and the last draw of each _draw_bitset call
+    shape = CubeShape(17)
+    off = vertex_draw_offset(shape)
+    seed = 987654321
+    sm = sample(shape, model, seed)
+    for start, count, threshold in (
+        (0, shape.edge_count, model.bond_threshold),
+        (off, shape.vertex_count, model.site_threshold),
+    ):
+        for i in _chunk_edges(count):
+            k = start + i
+            assert _draws_at(sm, k) == (mix64(seed, k) < threshold), k
+
+
+# sha256 of serialize() for seed 2024, recorded before the draw kernel
+# moved to cache-sized chunks; any change to a drawn bit changes these
+SERIALIZED_SHA256 = {
+    ("bond", 8): "356afeccad5aa0db7671f158ee2bdb66d1fcf6702575c0c2ae6b7bd85fc563ec",
+    ("site", 8): "ad03c47a5b60f65aa3c12527a4e13288c09d4f809db106119ca7e03bec302008",
+    ("mixed", 8): "0470224611af7f1634c626e12f84d67f9f294645c69a8c5d606e701f364d9756",
+    ("bond", 13): "78d793fbae28dab4a104ec1f2615f79e70051c46e68103c06121f0172ea6acaa",
+    ("site", 13): "0bce69c9e41430a71901296157d8a52c654cbc9bc2f67b29b178cedd11403ba9",
+    ("mixed", 13): "3c4eb4c8adc5d3941ab5d39ab5e51b2cd4b3ad4a680b2f4739dec65c79f718fe",
+    ("bond", 17): "42b27c845f4f5f7bf7cdae364c9c22c8981f4a2525a1d4f8dda26a93b3061812",
+    ("site", 17): "ea8e3bb42b68fb2fc9f7f1b1a917c13694fd432d9fe773d630d7824569706bfc",
+    ("mixed", 17): "340cea742b3f9695ec0fbc88a6bb07ce7374a1ac6bccc0419a6a29be344f8fb1",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(SERIALIZED_SHA256))
+def test_serialized_bytes_pinned(kind, n):
+    model = {
+        "bond": PercModel.bond(0.4),
+        "site": PercModel.site(0.6),
+        "mixed": PercModel.mixed(0.7, 0.6),
+    }[kind]
+    data = sample(CubeShape(n), model, 2024).serialize()
+    assert hashlib.sha256(data).hexdigest() == SERIALIZED_SHA256[kind, n]
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,6 +210,39 @@ def test_masks_array_matches_edge_open(model):
     for v in range(sm.shape.vertex_count):
         for c in range(sm.shape.n):
             assert bool(masks[v] >> c & 1) == sm.edge_open(v, v ^ (1 << c))
+
+
+ORACLE_MODELS = [
+    PercModel.bond(0.4), PercModel.site(0.6), PercModel.mixed(0.7, 0.6),
+    PercModel.bond(0.0), PercModel.site(0.0), PercModel.mixed(0.0, 1.0),
+    PercModel.bond(1.0), PercModel.site(1.0), PercModel.mixed(1.0, 1.0),
+]
+ORACLE_IDS = [f"{m.kind}-{m.p_bond:g}-{m.p_site:g}" for m in ORACLE_MODELS]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_masks_array_matches_oracle(model, n):
+    # n = 1 and c = n - 1 give the degenerate (1, 2, 2^c) views
+    sm = sample(CubeShape(n), model, 5 + n)
+    masks = sm.open_neighbor_masks_array()
+    assert masks.dtype == np.uint32
+    assert np.array_equal(masks, oracle_masks(sm))
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
+@pytest.mark.parametrize("n", (1, 2, 5, 9))
+def test_edge_endpoints_match_oracle(model, n):
+    # per coordinate, the ascending lower ends of the open edges and
+    # their partners across bit c
+    sm = sample(CubeShape(n), model, 3)
+    masks = oracle_masks(sm)
+    v = np.arange(sm.shape.vertex_count)
+    for c, (base, other) in enumerate(sm.open_edge_endpoints()):
+        assert base.dtype == other.dtype == np.int32
+        expect = np.flatnonzero((masks >> c & 1).astype(bool) & (v >> c & 1 == 0))
+        assert np.array_equal(base, expect)
+        assert np.array_equal(other, expect + (1 << c))
 
 
 def test_vertex_draw_offset_is_edge_count():
