@@ -217,13 +217,15 @@ def neighbor_distance_stats(
 
     idx = np.arange(nv)
     # per coordinate c, the lower endpoints of the cube edges along c
-    # that have both endpoints in the giant; the scan stops once there
-    # are enough to sample from, so only an exhaustive list is held whole
+    # that have both endpoints in the giant, read from the halves of the
+    # middle axis of the (2^(n-c-1), 2, 2^c) view; the scan stops once
+    # there are enough to sample from, so only an exhaustive list is
+    # held whole
     eligible = []
     eligible_count = 0
     for c in range(n):
-        base = idx[(idx >> c) & 1 == 0]
-        eligible.append(base[giant[base] & giant[base | (1 << c)]])
+        g = giant.reshape(-1, 2, 1 << c)
+        eligible.append(idx.reshape(-1, 2, 1 << c)[:, 0][g[:, 0] & g[:, 1]])
         eligible_count += len(eligible[-1])
         if eligible_count >= num_pairs:
             break

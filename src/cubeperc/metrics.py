@@ -99,17 +99,7 @@ def bounded_distance(
         d = r + 1
         nxt = []
         for w in frontier:
-            # the set-bit walk is written out rather than taken from
-            # flip_neighbors: this loop is hot in neighbor_distance_stats
-            # (cutoff searches at n = 20) and the stretch pairs of
-            # sampled distortion, and through the helper 128 far-pair
-            # searches on an n = 16 dense sample took 1.52-2.06 s
-            # against 1.51-1.57 s inline (2-core x86 box)
-            m = int(masks[w])
-            while m:
-                low = m & -m
-                m ^= low
-                x = w ^ low
+            for x in flip_neighbors(w, int(masks[w])):
                 if x in dthis:
                     continue
                 dthis[x] = d
@@ -276,19 +266,6 @@ class DistortionReport:
     infinite: bool = False
 
 
-def _infinite_report(exactness: str, witness: tuple[int, int]) -> DistortionReport:
-    return DistortionReport(
-        d_plus=math.inf,
-        d_minus=0.0,
-        distortion=math.inf,
-        witness_plus=witness,
-        witness_minus=None,
-        exactness=exactness,
-        pairs_evaluated=None,
-        infinite=True,
-    )
-
-
 def _disconnection_witness(labeling: ComponentLabeling, images: np.ndarray):
     """A pair of source vertices whose images live in different components,
     or None when all images share one component."""
@@ -311,19 +288,32 @@ def evaluate_distortion(
 ) -> DistortionReport:
     """Distortion of vmap from the full cube metric into the sample.
 
-    Exact mode takes the distances from every distinct image in one
-    scipy call and scans all pairs; it is capped at n <=
-    EXACT_CAP_DEFAULT.  Sampled mode evaluates pair_count adjacent pairs
-    for the stretch side, each by the scalar bounded_distance, and
-    pair_count arbitrary pairs for the contraction side, batched
-    PAIR_BATCH (64) per uint64 word in one multi-source BFS, giving a
-    valid lower bound on D.  pair_count must be positive in sampled mode.
+    Each mode supplies (a, b, d_Y) blocks of source pairs, in scan
+    order, for each side; one scan keeps the first strict maximum of d_Y
+    over the stretch blocks and the first strict minimum of
+    max(1, d_Y) / d_X over the contraction blocks, and their pairs are
+    the witnesses.
+
+    Exact mode reads every d_Y from one scipy call over the distinct
+    images; it is capped at n <= EXACT_CAP_DEFAULT.  Its stretch blocks
+    are the cube edges of each coordinate c in turn, lower endpoint
+    ascending; its contraction blocks are the pairs a < b of each vertex
+    a in turn.  Sampled mode draws pair_count adjacent pairs, each
+    measured by the scalar bounded_distance, then pair_count distinct
+    pairs, batched PAIR_BATCH (64) per uint64 word in one multi-source
+    BFS, giving a valid lower bound on D; pair_count must be positive.
+    The stretch scan starts at -1 in exact mode, so its first edge is a
+    witness even when every d_Y is 0, and at 0 in sampled mode, which
+    then names no stretch witness.  Images straddling components give an
+    infinite report.
     """
     n = sample.shape.n
     nv = sample.shape.vertex_count
     img = vmap.image
     if len(img) != nv:
         raise ValueError("map length does not match the cube")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and pair_count <= 0:
         raise ValueError(f"sampled mode needs a positive pair_count, got {pair_count}")
     present = sample.present_array()
@@ -331,123 +321,64 @@ def evaluate_distortion(
         missing = int(np.nonzero(~present[img])[0][0])
         raise ValueError(f"image of vertex {missing} is not present in the sample")
 
-    labeling = components(sample)
-    witness = _disconnection_witness(labeling, img)
+    witness = _disconnection_witness(components(sample), img)
     if witness is not None:
-        return _infinite_report(mode, witness)
+        return DistortionReport(math.inf, 0.0, math.inf, witness, None, mode, None, infinite=True)
 
     if mode == "exact":
         if n > EXACT_CAP_DEFAULT:
             raise CapExceeded(f"exact mode capped at n={EXACT_CAP_DEFAULT}, got n={n}")
-        return _evaluate_exact(sample, img)
-    if mode == "sampled":
-        return _evaluate_sampled(sample, img, pair_count, seed)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _evaluate_exact(sample: PercolationSample, img: np.ndarray) -> DistortionReport:
-    n = sample.shape.n
-    nv = sample.shape.vertex_count
-    distinct = np.unique(img)
-    # every entry read lies in the images' one component, so none is inf
-    dmat = _distances(sample, distinct)
-    img_idx = np.searchsorted(distinct, img)
-
-    # stretch over cube edges only
-    all_v = np.arange(nv)
-    best_plus = -1
-    wit_plus = (0, 0)
-    for c in range(n):
-        base = all_v[(all_v >> c) & 1 == 0]
-        other = base | (1 << c)
-        dvals = dmat[img_idx[base], img[other]]
-        k = int(np.argmax(dvals))
-        if int(dvals[k]) > best_plus:
-            best_plus = int(dvals[k])
-            wit_plus = (int(base[k]), int(other[k]))
-
-    # contraction over all pairs
-    best_minus = math.inf
-    wit_minus = (0, 1)
-    for a in range(nv - 1):
-        b = np.arange(a + 1, nv)
-        dy = dmat[img_idx[a], img[b]]
-        np.maximum(dy, 1.0, out=dy)
-        dx = np.bitwise_count(np.uint64(a) ^ b.astype(np.uint64)).astype(np.float64)
-        ratios = dy / dx
-        k = int(np.argmin(ratios))
-        if float(ratios[k]) < best_minus:
-            best_minus = float(ratios[k])
-            wit_minus = (a, int(b[k]))
-
-    d_plus = max(1.0, float(best_plus))
-    d_minus = float(best_minus)
-    return DistortionReport(
-        d_plus=d_plus,
-        d_minus=d_minus,
-        distortion=d_plus / d_minus,
-        witness_plus=wit_plus,
-        witness_minus=wit_minus,
-        exactness="exact",
-        pairs_evaluated=None,
-    )
-
-
-def _evaluate_sampled(
-    sample: PercolationSample, img: np.ndarray, pair_count: int, seed: int
-) -> DistortionReport:
-    n = sample.shape.n
-    nv = sample.shape.vertex_count
-    stream = CounterStream(seed)
-
-    best_plus = 0
-    wit_plus = None
-    for _ in range(pair_count):
-        a = stream.below(nv)
-        c = stream.below(n)
-        b = a ^ (1 << c)
-        dy = bounded_distance(sample, int(img[a]), int(img[b]))
-        if dy is None:  # same component is pre-checked; defensive only
-            return _infinite_report("sampled", (a, b))
-        if dy > best_plus:
-            best_plus = dy
-            wit_plus = (a, b)
-
-    pairs = []
-    for _ in range(pair_count):
-        a = stream.below(nv)
-        b = stream.below(nv)
-        while b == a:
+        distinct = np.unique(img)
+        # every entry read lies in the images' one component, so none is inf
+        dmat = _distances(sample, distinct)
+        img_idx = np.searchsorted(distinct, img)
+        all_v = np.arange(nv)
+        # the edges along c: the halves of the middle axis of the vertex
+        # array viewed as (2^(n-c-1), 2, 2^c)
+        edges = (all_v.reshape(-1, 2, 1 << c).swapaxes(0, 1).reshape(2, -1) for c in range(n))
+        stretch = ((lo, hi, dmat[img_idx[lo], img[hi]]) for lo, hi in edges)
+        contraction = (
+            (np.broadcast_to(a, nv - a - 1), all_v[a + 1 :], dmat[img_idx[a], img[a + 1 :]])
+            for a in range(nv - 1)
+        )
+        best_plus, pairs_evaluated = -1, None
+    else:
+        stream = CounterStream(seed)
+        adjacent = []
+        for _ in range(pair_count):
+            a = stream.below(nv)
+            adjacent.append((a, a ^ (1 << stream.below(n))))
+        pairs = []
+        for _ in range(pair_count):
+            a = stream.below(nv)
             b = stream.below(nv)
-        pairs.append((a, b))
-    # all distances first, PAIR_BATCH searches per sweep; then the scan
-    # in draw order keeps the first-strict-minimum witness
-    ends = img[np.array(pairs, dtype=np.int64)]
-    dys = []
-    for lo in range(0, pair_count, PAIR_BATCH):
-        batch = ends[lo : lo + PAIR_BATCH]
-        dys += _pair_distances(sample, batch[:, 0], batch[:, 1])
+            while b == a:
+                b = stream.below(nv)
+            pairs.append((a, b))
+        adjacent, pairs = np.array(adjacent), np.array(pairs)
+        dys = [bounded_distance(sample, u, v) for u, v in img[adjacent].tolist()]
+        stretch = [(*adjacent.T, np.array(dys))]
+        batches = (pairs[lo : lo + PAIR_BATCH] for lo in range(0, pair_count, PAIR_BATCH))
+        contraction = (
+            (*batch.T, np.array(_pair_distances(sample, *img[batch].T))) for batch in batches
+        )
+        best_plus, pairs_evaluated = 0, 2 * pair_count
 
-    best_minus = math.inf
-    wit_minus = None
-    for (a, b), dy in zip(pairs, dys):
-        if dy is None:
-            return _infinite_report("sampled", (a, b))
-        ratio = max(1.0, float(dy)) / float(hamming(a, b))
-        if ratio < best_minus:
-            best_minus = ratio
-            wit_minus = (a, b)
+    wit_plus = None
+    for a, b, dy in stretch:
+        k = int(np.argmax(dy))
+        if dy[k] > best_plus:
+            best_plus, wit_plus = dy[k], (int(a[k]), int(b[k]))
+    best_minus, wit_minus = math.inf, None
+    for a, b, dy in contraction:
+        ratios = np.maximum(dy, 1.0) / np.bitwise_count(a ^ b)
+        k = int(np.argmin(ratios))
+        if ratios[k] < best_minus:
+            best_minus, wit_minus = float(ratios[k]), (int(a[k]), int(b[k]))
 
     d_plus = max(1.0, float(best_plus))
-    d_minus = float(best_minus)
     return DistortionReport(
-        d_plus=d_plus,
-        d_minus=d_minus,
-        distortion=d_plus / d_minus,
-        witness_plus=wit_plus,
-        witness_minus=wit_minus,
-        exactness="sampled",
-        pairs_evaluated=2 * pair_count,
+        d_plus, best_minus, d_plus / best_minus, wit_plus, wit_minus, mode, pairs_evaluated
     )
 
 

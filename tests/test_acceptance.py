@@ -305,7 +305,13 @@ def test_extraction_respects_distortion_bounds():
 def test_good_map_failures_reported_and_large_n_builds():
     """At small n the good-vertex construction cannot work and must say so
     with a sorted failure report, never a broken map; in an easy regime at
-    n=16 it builds and the sampled distortion sits inside the guarantees."""
+    n=16 it builds and the sampled distortion sits inside the guarantees.
+
+    The 180 small-n failures follow from counting alone: a good vertex
+    needs 2m witnesses among C(m, 2) pairs of A coordinates, and every
+    partition at these n has C(m, 2) < 2m (see
+    test_no_map_builds_within_the_exact_cap), so no sample can build.
+    That part checks the failure report's shape."""
     t0 = time.perf_counter()
     ok = True
     failures = 0

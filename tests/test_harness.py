@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +278,21 @@ class TestVerifyGoldens:
         report = verify_goldens(str(gold))
         assert not report.passed
         assert "line 3" in report.checks[0].detail
+
+    def test_committed_goldens_match(self):
+        # one small sweep per kind, bond and site where the kind allows;
+        # every row was checked against the conftest oracles when the
+        # files were recorded.  A change meant to alter output must
+        # regenerate them and say why
+        gold = Path(__file__).resolve().parent / "goldens"
+        texts = [path.read_text(encoding="utf-8") for path in sorted(gold.glob("*.csv"))]
+        configs = [config_from_csv(text) for text in texts]
+        assert {c.kind for c in configs} == set(harness.KINDS)
+        distortion = [text for c, text in zip(configs, texts) if c.kind == "distortion"]
+        assert any(row[4] == "1" for text in distortion for row in data_rows(text)[1:])
+        report = verify_goldens(str(gold))
+        assert report.passed, report.summary()
+        assert main(["verify", str(gold), "--threads", "2"]) == 0
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(MissingGolden):

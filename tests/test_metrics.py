@@ -17,6 +17,7 @@ from cubeperc.embedding import build_good_map
 from cubeperc.hypercube import make_partition
 from cubeperc.metrics import (
     PAIR_BATCH,
+    DistortionReport,
     VertexMap,
     _pair_distances,
     bfs,
@@ -187,6 +188,30 @@ class TestEvaluateDistortion:
         assert rep.d_minus == pytest.approx(1.0 / 3.0)
         assert rep.distortion == pytest.approx(3.0)
         assert hamming(*rep.witness_minus) == 3  # an antipodal pair
+        # every d_Y is 0: the exact scan starts below 0, so its first
+        # edge is the stretch witness; the sampled scan starts at 0 and
+        # names none
+        assert rep.witness_plus == (0, 1)
+        sampled = evaluate_distortion(full3, VertexMap(np.full(8, 0)), "sampled", pair_count=16)
+        assert sampled.d_plus == 1.0
+        assert sampled.witness_plus is None
+
+    # (n, p, seed, d+, witness+): the identity on connected samples, whose
+    # contraction is 1 at the first pair (0, 1)
+    IDENTITY_PINS = [
+        (4, 0.7, 0, 5.0, (8, 9)),
+        (6, 0.7, 0, 5.0, (24, 25)),
+        (8, 0.7, 0, 5.0, (102, 103)),
+    ]
+
+    @pytest.mark.parametrize("n, p, seed, d_plus, witness_plus", IDENTITY_PINS)
+    def test_identity_report_pinned(self, n, p, seed, d_plus, witness_plus):
+        sm = sample(CubeShape(n), PercModel.bond(p), seed)
+        assert components(sm).n_components == 1
+        rep = evaluate_distortion(sm, VertexMap.identity(sm.shape), "exact")
+        assert rep == DistortionReport(
+            d_plus, 1.0, d_plus, witness_plus, (0, 1), "exact", None, False
+        )
 
     def test_identity_on_broken_square(self, broken_square):
         rep = evaluate_distortion(broken_square, VertexMap.identity(CubeShape(2)))
@@ -314,6 +339,26 @@ class TestBruteForce:
             assert got == oracle_min_distortion(sm), (n, p, seed)
             checked += 1
         assert checked > 0
+
+    # (n, seed, optimal map, d-, witness+, witness-) at p = 0.8; the
+    # witnesses come from the exact evaluator, and (0, 2) follows an
+    # all-zero first coordinate, so a strict maximum moves it off (0, 1)
+    OPTIMUM_PINS = [
+        (2, 0, [0, 0, 0, 0], 0.5, (0, 1), (0, 3)),
+        (2, 9, [0, 1, 2, 3], 1.0, (0, 1), (0, 1)),
+        (3, 0, [0, 0, 1, 1, 4, 4, 5, 5], 0.5, (0, 2), (0, 3)),
+        (3, 2, [0] * 8, 1 / 3, (0, 1), (0, 7)),
+        (3, 9, [2, 2, 3, 3, 6, 6, 7, 7], 0.5, (0, 2), (0, 3)),
+    ]
+
+    @pytest.mark.parametrize("n, seed, image, d_minus, witness_plus, witness_minus", OPTIMUM_PINS)
+    def test_optimum_report_pinned(self, n, seed, image, d_minus, witness_plus, witness_minus):
+        sm = sample(CubeShape(n), PercModel.bond(0.8), seed)
+        vmap, rep = brute_force_min_distortion(sm)
+        assert vmap.image.tolist() == image
+        assert rep == DistortionReport(
+            1.0, d_minus, 1.0 / d_minus, witness_plus, witness_minus, "exact", None, False
+        )
 
     def test_size_cap(self):
         sm = sample(CubeShape(4), PercModel.bond(1.0), 0)

@@ -1,8 +1,9 @@
 """The package's public surface: `__all__` as `from cubeperc import *`
-sees it, the dependencies it declares, and that every public name has a
-reader."""
+sees it, the dependencies it declares, that every public name has a
+reader, and that every package name the benchmark reads exists."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -86,3 +87,34 @@ def test_every_public_name_is_used():
         seen |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
     assert "build_good_map" in public  # the scan reached the package
     assert public - seen == {"deserialize"}
+
+
+def test_benchmark_reads_resolve(monkeypatch):
+    # perfbench/ reaches into the package by attribute: tracing.py wraps
+    # each Layer's owner.attr, and the workloads and run.py read module
+    # names.  A refactor that drops one of them must fail here, not only
+    # when the benchmark runs.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    spec.loader.exec_module(tracing)
+    for layer in tracing.LAYERS:
+        assert hasattr(layer.owner, layer.attr), layer.name
+
+    modules = ("metrics", "percolation", "embedding", "cycles", "routing", "harness")
+    read = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cubeperc."):
+                read.update((node.module.partition(".")[2], a.name) for a in node.names)
+    assert ("metrics", "_numba") in read  # the scan reached run.py
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(read)
+        if not hasattr(importlib.import_module(f"cubeperc.{module}"), name)
+    ]
+    assert missing == []
