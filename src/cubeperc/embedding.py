@@ -31,8 +31,8 @@ from .percolation import (
     CounterStream,
     PercModel,
     PercolationSample,
+    _mix64_array,
     draws_below,
-    mix64,
     vertex_draw_offset,
 )
 
@@ -160,7 +160,7 @@ def mc_open_path_count(
         vert_ids, vpaths = _numbered(paths)
         vdraw_ids = vert_ids + vertex_draw_offset(shape)
 
-    seeds = np.array([mix64(base_seed, t) for t in range(trials)], dtype=np.uint64)
+    seeds = _mix64_array(base_seed, np.arange(trials))
     counts = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, MC_CHUNK):
         stop = min(start + MC_CHUNK, trials)

@@ -78,8 +78,6 @@ def bounded_distance(
     cutoff (or no path exists).  Bidirectional ball growing."""
     if u == v:
         return 0
-    if not (sample.vertex_present(u) and sample.vertex_present(v)):
-        return None
     masks = sample.open_neighbor_masks_array()
     du = {u: 0}
     dv = {v: 0}
@@ -195,6 +193,8 @@ class ComponentLabeling:
         return self.size_of(self.giant_label) if self.giant_label >= 0 else 0
 
     def giant_mask(self) -> np.ndarray:
+        if self.giant_label < 0:
+            return np.zeros(len(self.labels), dtype=bool)
         return self.labels == self.giant_label
 
 
@@ -316,6 +316,8 @@ def evaluate_distortion(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and pair_count <= 0:
         raise ValueError(f"sampled mode needs a positive pair_count, got {pair_count}")
+    if mode == "exact" and n > EXACT_CAP_DEFAULT:
+        raise CapExceeded(f"exact mode capped at n={EXACT_CAP_DEFAULT}, got n={n}")
     present = sample.present_array()
     if not present[img].all():
         missing = int(np.nonzero(~present[img])[0][0])
@@ -326,8 +328,6 @@ def evaluate_distortion(
         return DistortionReport(math.inf, 0.0, math.inf, witness, None, mode, None, infinite=True)
 
     if mode == "exact":
-        if n > EXACT_CAP_DEFAULT:
-            raise CapExceeded(f"exact mode capped at n={EXACT_CAP_DEFAULT}, got n={n}")
         distinct = np.unique(img)
         # every entry read lies in the images' one component, so none is inf
         dmat = _distances(sample, distinct)

@@ -1,10 +1,10 @@
 """Routing in the local query model: a route may only query edges
 incident to vertices already reached from one of the endpoints.
 
-The router grows balls from both endpoints.  Every distinct edge-oracle
-call is counted exactly once; repeats hit a cache.  The full
-query/settle event sequence is recorded so locality can be audited
-after the fact.
+The router grows balls from both endpoints and reads each edge from the
+open-neighbour masks.  Every distinct edge-oracle call is counted
+exactly once.  The full query/settle event sequence is recorded so
+locality can be audited after the fact.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SourceAbsent
-from .hypercube import edge_index
 from .percolation import PercolationSample
 
 FOUND = "found"
@@ -60,8 +59,7 @@ def local_route(
     on it whether the level completes or not."""
     if not sample.vertex_present(x):
         raise SourceAbsent(f"route start {x} is not present")
-    shape = sample.shape
-    n = shape.n
+    n = sample.shape.n
     events: list[tuple] = []
     if x == y:
         return RouteTrace(x, y, FOUND, (x,), 0, 1, events)
@@ -72,27 +70,30 @@ def local_route(
     parents: dict[str, dict[int, int]] = {"x": {}, "y": {}}
     frontier = {"x": [x], "y": [y]}
     radius = {"x": 0, "y": 0}
-    cache: dict[int, bool] = {}  # edge index -> open; one entry per query
+    # An edge is queried once, from whichever end is expanded first, so
+    # {u, w} is new exactly when w is not in expanded: a vertex settled on
+    # both sides is a meeting, which ends the loop before u can be expanded
+    # twice.  A budget stop ends the route, so the set is always exact.
+    expanded: set[int] = set()
+    queries = 0
     best: Optional[tuple[int, int]] = None  # (length, meet vertex)
     out_of_queries = False
 
     def expand(side: str, other: str) -> None:
-        nonlocal best, out_of_queries
+        nonlocal best, out_of_queries, queries
         dist_this, dist_other = dist[side], dist[other]
         nxt = []
         for u in frontier[side]:
             m = int(masks[u])
             for c in range(n):
                 w = u ^ (1 << c)
-                key = edge_index(shape, u, w)
-                if key in cache:
-                    is_open = cache[key]
-                else:
-                    if len(cache) >= query_budget:
+                is_open = bool(m >> c & 1)
+                if w not in expanded:
+                    if queries >= query_budget:
+                        # the route ends: frontier and radius are not read again
                         out_of_queries = True
-                        break
-                    is_open = bool(m >> c & 1)
-                    cache[key] = is_open
+                        return
+                    queries += 1
                     events.append(("query", side, u, w, is_open))
                 if not is_open or w in dist_this:
                     continue
@@ -105,8 +106,7 @@ def local_route(
                     cand = dist_this[w] + d_other
                     if best is None or cand < best[0]:
                         best = (cand, w)
-            if out_of_queries:
-                break
+            expanded.add(u)
         frontier[side] = nxt
         radius[side] += 1
 
@@ -147,7 +147,7 @@ def local_route(
             halves.append(half)
         path = tuple(halves[0][::-1] + halves[1][1:])
     explored = len(dist["x"]) + len(dist["y"])
-    return RouteTrace(x, y, outcome, path, len(cache), explored, events)
+    return RouteTrace(x, y, outcome, path, queries, explored, events)
 
 
 def audit_locality(trace: RouteTrace) -> bool:

@@ -256,15 +256,17 @@ class TestMonteCarlo:
     )
     def test_trials_replay_full_samples(self, model):
         spec = NeighborRetraceSpec(CubeShape(8), 0, 1, 2)
-        counts = mc_open_path_count(spec, model, 20, base_seed=11)
-        assert counts.any()
-        for t in (0, 7, 19):
-            sm = sample(CubeShape(8), model, mix64(11, t))
-            manual = sum(
-                all(sm.edge_open(pa[k], pa[k + 1]) for k in range(len(pa) - 1))
-                for pa in enumerate_paths(spec)
-            )
-            assert counts[t] == manual
+        # a base seed with the top bit set checks the uint64 seed array
+        for base_seed in (11, 2**64 - 1):
+            counts = mc_open_path_count(spec, model, 20, base_seed=base_seed)
+            assert counts.any()
+            for t in (0, 7, 19):
+                sm = sample(CubeShape(8), model, mix64(base_seed, t))
+                manual = sum(
+                    all(sm.edge_open(pa[k], pa[k + 1]) for k in range(len(pa) - 1))
+                    for pa in enumerate_paths(spec)
+                )
+                assert counts[t] == manual
 
     def test_mean_within_four_sigma(self):
         spec = NeighborRetraceSpec(CubeShape(10), 0, 1, 2)

@@ -96,6 +96,17 @@ class TestSweepCsv:
             assert float(row[2]) == pytest.approx(6.0 ** -float(row[1]))
             assert row[-1] == ""  # no cell errors
 
+    def test_neighbor_dist_without_giant_is_an_error_row(self):
+        # p = 4^-40 leaves no vertex present, so there is no giant to
+        # draw pairs from; the row must not report a median
+        cfg = SweepConfig(
+            kind="neighbor_dist", model="site", n_list=(4,), alpha_list=(40.0,), pairs=10,
+        )
+        header, row = data_rows(run_sweep(cfg))
+        cells = dict(zip(header, row))
+        assert cells["error"].startswith("GiantTooSmall:")
+        assert cells["median_adj_dist"] == cells["overflow_frac"] == ""
+
     def test_moments_schema(self):
         cfg = SweepConfig(
             kind="moments", n_list=(6,), alpha_list=(0.25,), l=1, trials=300

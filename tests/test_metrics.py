@@ -88,6 +88,18 @@ def test_bounded_distance_matches_bfs(case, data):
     assert bounded_distance(sm, u, v) == bfs(sm, u).distance(v)
 
 
+def test_bounded_distance_absent_ends():
+    # an absent end has no open edge, so no pair through it has a
+    # distance, while u == v is 0 whether u is present or not
+    sm = sample(CubeShape(4), PercModel.site(0.6), 2)
+    present = sm.present_array()
+    assert present.any() and not present.all()
+    for u in range(16):
+        want = oracle_bfs(sm, u) if present[u] else {u: 0}
+        for v in range(16):
+            assert bounded_distance(sm, u, v) == want.get(v)
+
+
 def test_bounded_distance_cutoff(full4):
     assert bounded_distance(full4, 0, 15, cutoff=3) is None
     assert bounded_distance(full4, 0, 15, cutoff=4) == 4
@@ -155,6 +167,13 @@ class TestComponents:
             labels = {int(lab.labels[v]) for v in comp}
             assert labels == {min(comp)}  # canonical label is the least vertex
         assert lab.giant_size == max(len(c) for c in want)
+
+    def test_giant_mask_empty_without_vertices(self):
+        sm = sample(CubeShape(4), PercModel.site(0.0), 0)
+        lab = components(sm)
+        assert lab.giant_label == -1 and lab.giant_size == 0
+        assert lab.giant_mask().dtype == bool
+        assert not lab.giant_mask().any()
 
     def test_absent_vertices_labeled_minus_one(self):
         sm = sample(CubeShape(4), PercModel.site(0.5), 9)
@@ -227,9 +246,12 @@ class TestEvaluateDistortion:
         assert rep.d_minus == 0.0
 
     def test_exact_cap(self):
-        sm = sample(CubeShape(13), PercModel.bond(1.0), 0)
-        with pytest.raises(CapExceeded):
-            evaluate_distortion(sm, VertexMap.identity(CubeShape(13)), "exact")
+        # the cap holds before any labelling, also for a disconnected
+        # sample whose report would be infinite
+        for p in (1.0, 0.3):
+            sm = sample(CubeShape(13), PercModel.bond(p), 0)
+            with pytest.raises(CapExceeded):
+                evaluate_distortion(sm, VertexMap.identity(CubeShape(13)), "exact")
 
     def test_image_must_be_present(self):
         sm = sample(CubeShape(3), PercModel.site(0.4), 5)

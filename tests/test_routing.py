@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import MODEL_KINDS, oracle_bfs, perc_model
 from cubeperc.errors import SourceAbsent
 from cubeperc.hypercube import CubeShape, hamming
-from cubeperc.percolation import PercModel, sample
+from cubeperc.percolation import PercModel, mix64, sample
 from cubeperc.routing import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -133,6 +135,8 @@ def test_found_paths_are_shortest(kind, n, p, seed, pair):
     assume(len(present) > 0)
     x, y = int(present[pair[0] % len(present)]), pair[1] % 2**n
     tr = local_route(sm, x, y, 2**n, BIG)
+    queried = [frozenset(ev[2:4]) for ev in tr.events if ev[0] == "query"]
+    assert len(set(queried)) == len(queried) == tr.queries
     dist = oracle_bfs(sm, x)
     if tr.outcome == FOUND:
         assert_open_path(sm, tr)
@@ -183,3 +187,28 @@ def test_every_query_budget_keeps_outcomes_conclusive(kind, n, p, seed, pair):
             assert y not in dist
         else:
             assert tr.outcome == BUDGET_EXHAUSTED and tr.path is None
+
+
+# sha256 of every route's (outcome, path, queries, explored, events) on
+# bond and site samples; one changed event changes it
+ROUTE_TRACE_DIGEST = "a886ea1cc382dc016ae5d174bb3527f558cd399c187d1007b28481acfabe8ea7"
+
+
+def test_route_traces_pinned():
+    h = hashlib.sha256()
+    for kind in ("bond", "site"):
+        for n in (4, 8, 12):
+            for alpha in (0.25, 0.75):
+                model = getattr(PercModel, kind)(float(n) ** -alpha)
+                for seed in (0, 1):
+                    sm = sample(CubeShape(n), model, seed)
+                    present = np.flatnonzero(sm.present_array())
+                    for k in range(4):
+                        # the target may be absent; the start may not
+                        x = int(present[mix64(seed, 2 * k) % len(present)])
+                        y = mix64(seed, 2 * k + 1) % 2**n
+                        for budget in (5, 50, 10**6):
+                            tr = local_route(sm, x, y, 2 * n, budget)
+                            record = (tr.outcome, tr.path, tr.queries, tr.explored, tr.events)
+                            h.update(repr(record).encode())
+    assert h.hexdigest() == ROUTE_TRACE_DIGEST
