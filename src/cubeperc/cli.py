@@ -100,6 +100,13 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, required=True, help="cube dimension")
     p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha_list"][0], help="p = n^-alpha")
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=_DEFAULTS["seed_count"], dest="seed_count",
                    help="seeds per cell")
     _add_fields(p, [name for names in KIND_FIELDS.values() for name in names])
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=_threads, default=1, help="worker processes")
 
     for command, kind in _CELL_KINDS.items():
         p = sub.add_parser(command, parents=[seeded],
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-run and compare golden CSVs")
     p.add_argument("directory")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=_threads, default=1, help="worker processes")
 
     return parser
 

@@ -319,13 +319,21 @@ def _csv_header(config: SweepConfig) -> list[str]:
     return ["n", "alpha", "p", "seed", *KIND_COLUMNS[config.kind], "error"]
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+
+
 def run_sweep(config: SweepConfig, threads: int = 1) -> str:
     """Run every cell and return the CSV text (comment lines with the
     schema, the config, and the verification tolerances, then a header
     row, then one row per (n, alpha, seed))."""
+    _check_threads(threads)
     cells = config.cells()
     if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a forking pool starts every worker up front, so ask for no
+        # more than there are cells
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             rows = list(pool.map(_compute_cell, [config] * len(cells), cells))
     else:
         rows = [_compute_cell(config, cell) for cell in cells]
@@ -427,6 +435,7 @@ def _raise_site(exc: Exception) -> str:
 def verify_goldens(directory: str, threads: int = 1) -> GoldenReport:
     """Re-run the config embedded in every golden CSV under directory
     and compare, with the column tolerances of TOLERANCES."""
+    _check_threads(threads)
     if not os.path.isdir(directory):
         raise MissingGolden(f"golden directory {directory!r} does not exist")
     files = sorted(f for f in os.listdir(directory) if f.endswith(".csv"))

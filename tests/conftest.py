@@ -14,10 +14,11 @@ from collections import deque
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from cubeperc.embedding import FailureReport
 from cubeperc.hypercube import CubeShape, hamming
-from cubeperc.metrics import DistortionReport, VertexMap, bounded_distance
+from cubeperc.metrics import DistortionReport, VertexMap, _open_graph, bounded_distance
 from cubeperc.percolation import CounterStream, PercModel, sample
 
 # one line per acceptance gate, echoed at the end of the run so the
@@ -105,6 +106,17 @@ def oracle_components(sm) -> list[set[int]]:
         seen |= comp
         comps.append(comp)
     return comps
+
+
+def one_call_labels(sm) -> np.ndarray:
+    """The single-pass labelling that `components` replaced: one scipy
+    call on the whole open graph, each component named by its smallest
+    vertex, absent vertices -1, int32."""
+    ncomp, raw = connected_components(_open_graph(sm), directed=False)
+    nv = sm.shape.vertex_count
+    canon = np.full(ncomp, nv, dtype=np.int32)
+    np.minimum.at(canon, raw, np.arange(nv, dtype=np.int32))
+    return np.where(sm.present_array(), canon[raw], np.int32(-1))
 
 
 def oracle_min_distortion(sm) -> tuple[list[int], float, float, float]:

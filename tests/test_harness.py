@@ -184,6 +184,41 @@ class TestSweepCsv:
         assert run_sweep(cfg) == first
         assert run_sweep(cfg, threads=2) == first
 
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        # a fake pool that only records max_workers: no process starts,
+        # whatever threads asks for
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = SweepConfig(kind="moments", n_list=(6,), alpha_list=(0.25,), seed_count=2,
+                          l=1, trials=50)
+        want = run_sweep(cfg)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        for threads in (2, 3, 64):
+            assert run_sweep(cfg, threads=threads) == want
+        assert asked == [2, 2, 2]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_raise(self, tmp_path, threads):
+        cfg = SweepConfig(kind="moments", n_list=(6,), alpha_list=(0.25,), l=1, trials=50)
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            run_sweep(cfg, threads=threads)
+        (tmp_path / "m.csv").write_text(run_sweep(cfg), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            verify_goldens(str(tmp_path), threads=threads)
+
     def test_config_roundtrip(self):
         cfg = SweepConfig(
             kind="route", n_list=(5,), alpha_list=(0.25, 0.75),
@@ -351,6 +386,17 @@ class TestCli:
         one = capsys.readouterr().out
         assert main(sweep + ["--threads", "2"]) == 0
         assert capsys.readouterr().out == one
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, command):
+        argv = {
+            "sweep": ["sweep", "--kind", "moments", "-n", "6", "-l", "1", "--trials", "50"],
+            "verify": ["verify", str(tmp_path)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "0"])
+        assert exc.value.code == 2
+        assert "threads must be at least 1, got 0" in capsys.readouterr().err
 
     def test_sweep_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

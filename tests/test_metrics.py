@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     MODEL_KINDS,
+    one_call_labels,
     oracle_bfs,
     oracle_components,
     oracle_min_distortion,
     oracle_sampled_distortion,
     perc_model,
 )
+from cubeperc import metrics
 from cubeperc.errors import CapExceeded, SourceAbsent, TooLarge
 from cubeperc.hypercube import CubeShape, hamming
 from cubeperc.embedding import build_good_map
@@ -167,6 +171,51 @@ class TestComponents:
             labels = {int(lab.labels[v]) for v in comp}
             assert labels == {min(comp)}  # canonical label is the least vertex
         assert lab.giant_size == max(len(c) for c in want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["site", "mixed"]), perc_case)
+    def test_site_and_mixed_match_flood_fill(self, kind, case):
+        n, p, seed = case
+        sm = sample(CubeShape(n), perc_model(kind, p), seed)
+        lab = components(sm)
+        want = oracle_components(sm)
+        assert lab.n_components == len(want)
+        for comp in want:
+            assert {int(lab.labels[v]) for v in comp} == {min(comp)}
+        for v in range(sm.shape.vertex_count):
+            if not sm.vertex_present(v):
+                assert lab.labels[v] == -1
+        assert lab.giant_size == max((len(c) for c in want), default=0)
+
+    @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_one_call_labelling(self, kind, block_bits, monkeypatch):
+        # bit for bit, dtype included, whatever the cut between the
+        # block pass and the contracted pass (None keeps the default)
+        if block_bits is not None:
+            monkeypatch.setattr(metrics, "_BLOCK_BITS", block_bits)
+        for n in (1, 2, 5, 9, 17, 18):
+            for p in (n**-0.75, 0.5):
+                for seed in (0, 1):
+                    sm = sample(CubeShape(n), perc_model(kind, p), seed)
+                    labels = components(sm).labels
+                    want = one_call_labels(sm)
+                    assert labels.dtype == want.dtype
+                    assert np.array_equal(labels, want), (n, p, seed)
+
+    def test_two_pass_labelling_pinned(self):
+        # sha256 of labels, comp_ids and comp_sizes at n = 20, where the
+        # contracted pass runs; recorded with the single-pass labelling
+        sm = sample(CubeShape(20), PercModel.bond(20.0**-0.75), 0)
+        lab = components(sm)
+        assert (lab.labels.dtype, lab.comp_ids.dtype, lab.comp_sizes.dtype) == (
+            np.int32, np.int64, np.int64,
+        )
+        h = hashlib.sha256()
+        for arr in (lab.labels, lab.comp_ids, lab.comp_sizes):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == "496923cb6f6118323ee1ec879e84084a043d42b23daa09f5314b43ff1acd8b30"
+        assert (lab.giant_label, lab.giant_size, lab.n_components) == (0, 877491, 135812)
 
     def test_giant_mask_empty_without_vertices(self):
         sm = sample(CubeShape(4), PercModel.site(0.0), 0)
