@@ -238,58 +238,82 @@ def find_cycles_near(
     Each cycle is reported once: the search roots at every ball vertex
     w in ascending order and forbids ball vertices smaller than w, so a
     cycle is found at its smallest ball vertex, and the two traversal
-    directions are collapsed by requiring second < last vertex.  Budget
-    counts DFS expansions; exhaustion flags the result partial.
+    directions are collapsed by requiring second < last vertex.
+
+    Budget counts DFS expansions, one per path the search extends to
+    (each root included).  The expansion that crosses the budget is
+    counted and stops the search, so a partial result reports
+    budget + 1 expansions and only the cycles closed before it.
     """
     if not sample.vertex_present(v):
         return CycleSearchResult([], 0, False, 0)
     masks = sample.open_neighbor_masks_array()
+    adjacency: dict[int, list[int]] = {}
+
+    def neighbors(x: int) -> list[int]:
+        out = adjacency.get(x)
+        if out is None:
+            out = adjacency[x] = flip_neighbors(x, int(masks[x]))
+        return out
+
     # the radius ball, grown from the masks: a search over the whole
     # graph would cost O(2^n) per call, this costs O(ball)
     ball = {v}
     frontier = {v}
     for _ in range(radius):
-        frontier = {x for w in frontier for x in flip_neighbors(w, int(masks[w]))} - ball
+        frontier = {x for w in frontier for x in neighbors(w)} - ball
         if not frontier:
             break
         ball |= frontier
     cycles: list[SimpleCycle] = []
     count = 0
     expansions = 0
-    partial = False
+    limit = math.inf if budget is None else budget
+    # ball vertices below the current root, plus the current path
+    blocked: set[int] = set()
 
     for w in sorted(ball):
-        if partial:
-            break
+        expansions += 1
+        if expansions > limit:
+            return CycleSearchResult(cycles, count, True, expansions)
+        if max_length < 2:
+            continue
+        # the open neighbours of w: a last-level vertex closes a cycle
+        # exactly when it is one of them
+        ring = set(neighbors(w))
         path = [w]
-        on_path = {w}
-
-        def dfs(cur: int) -> None:
-            nonlocal count, expansions, partial
-            if partial:
-                return
-            expansions += 1
-            if budget is not None and expansions > budget:
-                partial = True
-                return
-            for nxt in flip_neighbors(cur, int(masks[cur])):
-                if partial:
-                    return
-                if nxt == w and len(path) >= 3 and path[1] < path[-1]:
-                    count += 1
-                    if not count_only:
-                        cyc = SimpleCycle(tuple(path))
-                        cycles.append(SimpleCycle(cyc.canonical()))
+        stack = [iter(neighbors(w))]
+        while stack:
+            depth = len(path)
+            last_level = depth + 1 >= max_length
+            for nxt in stack[-1]:
+                if nxt == w:
+                    if depth >= 3 and path[1] < path[-1]:
+                        count += 1
+                        if not count_only:
+                            cycles.append(SimpleCycle(SimpleCycle(tuple(path)).canonical()))
                     continue
-                if nxt in on_path or (nxt < w and nxt in ball) or len(path) >= max_length:
+                if nxt in blocked:
+                    continue
+                expansions += 1
+                if expansions > limit:
+                    return CycleSearchResult(cycles, count, True, expansions)
+                if last_level:
+                    # settled here: its only move left is back to w
+                    if depth >= 2 and path[1] < nxt and nxt in ring:
+                        count += 1
+                        if not count_only:
+                            cycles.append(SimpleCycle(SimpleCycle((*path, nxt)).canonical()))
                     continue
                 path.append(nxt)
-                on_path.add(nxt)
-                dfs(nxt)
-                on_path.discard(path.pop())
-
-        dfs(w)
-    return CycleSearchResult(cycles, count, partial, expansions)
+                blocked.add(nxt)
+                stack.append(iter(neighbors(nxt)))
+                break
+            else:
+                stack.pop()
+                blocked.discard(path.pop())
+        blocked.add(w)
+    return CycleSearchResult(cycles, count, False, expansions)
 
 
 # ---------------------------------------------------------------------------

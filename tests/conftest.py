@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from cubeperc.cycles import SimpleCycle
 from cubeperc.embedding import FailureReport
-from cubeperc.hypercube import CubeShape, hamming
+from cubeperc.hypercube import CubeShape, flip_neighbors, hamming
 from cubeperc.metrics import DistortionReport, VertexMap, _open_graph, bounded_distance
 from cubeperc.percolation import CounterStream, PercModel, sample
 
@@ -252,6 +253,65 @@ def oracle_cycles_through(g: nx.Graph, v: int, max_length: int) -> set[tuple[int
                         best = rot
             found.add(best)
     return found
+
+
+def recursive_census(
+    sm, v: int, max_length: int, radius: int, budget=None, count_only=False, closed=None
+):
+    """The recursive census that `find_cycles_near` replaced, as
+    (cycles, count, partial, expansions): one `dfs` call per extended
+    path, every neighbour list walked, leaves included.  A `closed`
+    list receives, per expansion, the count of cycles closed before it,
+    so closed[b] is the count of a run stopped at budget b."""
+    if not sm.vertex_present(v):
+        return [], 0, False, 0
+    masks = sm.open_neighbor_masks_array()
+    ball = {v}
+    frontier = {v}
+    for _ in range(radius):
+        frontier = {x for w in frontier for x in flip_neighbors(w, int(masks[w]))} - ball
+        if not frontier:
+            break
+        ball |= frontier
+    cycles: list[SimpleCycle] = []
+    count = 0
+    expansions = 0
+    partial = False
+
+    for w in sorted(ball):
+        if partial:
+            break
+        path = [w]
+        on_path = {w}
+
+        def dfs(cur: int) -> None:
+            nonlocal count, expansions, partial
+            if partial:
+                return
+            expansions += 1
+            if closed is not None:
+                closed.append(count)
+            if budget is not None and expansions > budget:
+                partial = True
+                return
+            for nxt in flip_neighbors(cur, int(masks[cur])):
+                if partial:
+                    return
+                if nxt == w and len(path) >= 3 and path[1] < path[-1]:
+                    count += 1
+                    if not count_only:
+                        cyc = SimpleCycle(tuple(path))
+                        cycles.append(SimpleCycle(cyc.canonical()))
+                    continue
+                if nxt in on_path or (nxt < w and nxt in ball) or len(path) >= max_length:
+                    continue
+                path.append(nxt)
+                on_path.add(nxt)
+                dfs(nxt)
+                on_path.discard(path.pop())
+
+        dfs(w)
+    return cycles, count, partial, expansions
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ routing, scale), so that is the order used.
 from __future__ import annotations
 
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -27,6 +28,7 @@ import pytest
 import conftest
 from conftest import open_graph, oracle_bfs, oracle_cycles_through
 
+import cubeperc
 from cubeperc.cycles import (
     cycle_count_bound,
     extract_simple_cycle,
@@ -419,8 +421,13 @@ def test_giant_component_scale_and_reproducibility():
         print(elapsed, peak_kib, lab.giant_size, len(lab.comp_ids))
         """
     )
+    # the child labels the package this test imported, whatever the
+    # inherited PYTHONPATH says
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(cubeperc.__file__)))
+    path = os.pathsep.join(filter(None, (package_dir, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
     )
     assert proc.returncode == 0, proc.stderr
     elapsed_str, peak_str, giant_str, ncomp_str = proc.stdout.split()

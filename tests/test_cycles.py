@@ -7,6 +7,7 @@ segment first, earliest start on ties) rather than just the end state.
 """
 
 import math
+import random
 
 import networkx as nx
 import numpy as np
@@ -14,7 +15,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import MODEL_KINDS, open_graph, oracle_bfs, oracle_cycles_through, perc_model
+from conftest import (
+    MODEL_KINDS,
+    open_graph,
+    oracle_bfs,
+    oracle_cycles_through,
+    perc_model,
+    recursive_census,
+)
 from cubeperc.cycles import (
     ClosedWalk,
     SimpleCycle,
@@ -25,9 +33,10 @@ from cubeperc.cycles import (
     image_walk,
 )
 from cubeperc.errors import ImagesDisconnected
+from cubeperc.harness import SweepConfig, run_cell
 from cubeperc.hypercube import CubeShape, geodesic_cycle, hamming
 from cubeperc.metrics import VertexMap
-from cubeperc.percolation import PercModel, sample
+from cubeperc.percolation import PercModel, mix64, sample
 
 
 class TestClosedWalk:
@@ -244,6 +253,68 @@ class TestFindCyclesNear:
     def test_absent_root_empty(self):
         sm = sample(CubeShape(3), PercModel.site(0.0), 0)
         assert find_cycles_near(sm, 0, 6, 2).count == 0
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_recursive_census(self, kind, n):
+        # the unbounded census of a dense n >= 5 ball at max_length >= 6
+        # runs to 10^5-10^6 expansions, so those cases always take a budget
+        rng = random.Random(f"{kind}/{n}")
+        for _ in range(30):
+            sm = sample(CubeShape(n), perc_model(kind, rng.uniform(0.3, 1.0)), rng.getrandbits(64))
+            root = rng.randrange(1 << n)
+            max_length = rng.randint(0, 8)
+            radius = rng.randint(0, 3)
+            budgets = [0, 1, 5, 50, 500, 5000]
+            if n <= 4 or max_length <= 5:
+                budgets.append(None)
+            budget = rng.choice(budgets)
+            count_only = rng.random() < 0.5
+            res = find_cycles_near(
+                sm, root, max_length, radius, budget=budget, count_only=count_only
+            )
+            want = recursive_census(sm, root, max_length, radius, budget, count_only)
+            assert (res.cycles, res.count, res.partial, res.expansions) == want
+
+    @pytest.mark.parametrize(
+        "kind, n, p, seed, max_length, radius",
+        [
+            ("bond", 4, 1.0, 0, 8, 0),
+            ("bond", 5, 0.6, 1, 8, 1),
+            ("site", 6, 0.7, 0, 6, 1),
+            ("mixed", 5, 0.7, 1, 8, 1),
+        ],
+    )
+    def test_every_budget_matches_recursive_census(self, kind, n, p, seed, max_length, radius):
+        # a stop at every expansion, last level included: budget b stops
+        # the recursive census at its expansion b + 1, with closed[b]
+        # cycles closed before it
+        sm = sample(CubeShape(n), perc_model(kind, p), seed)
+        closed: list[int] = []
+        cycles, count, partial, total = recursive_census(sm, 0, max_length, radius, closed=closed)
+        assert not partial and len(closed) == total
+        for budget in range(total + 1):
+            res = find_cycles_near(sm, 0, max_length, radius, budget=budget, count_only=True)
+            if budget < total:
+                want = (closed[budget], True, budget + 1)
+            else:
+                want = (count, False, total)
+            assert (res.count, res.partial, res.expansions) == want
+            if budget % 97 == 0 or budget >= total - 1:
+                listed = find_cycles_near(sm, 0, max_length, radius, budget=budget)
+                assert listed.cycles == cycles[: res.count]
+                assert (listed.count, listed.partial, listed.expansions) == want
+
+    @pytest.mark.parametrize("j, want", [(0, (1932, True, 400_001)), (1, (1474, True, 400_001))])
+    def test_dense_kernels_cells_pinned(self, j, want):
+        # the two n = 12, alpha = 0.25 census cells of the benchmark's
+        # kernels workload, recorded with the recursive census
+        config = SweepConfig(
+            kind="cycle_census", n_list=(12,), alpha_list=(0.25,), radius=1,
+            max_length=8, budget=400_000,
+        )
+        row = run_cell(config, 12, 0.25, mix64(0, j))
+        assert (row["cycle_count"], row["partial"], row["expansions"]) == want
 
 
 class TestBounds:
