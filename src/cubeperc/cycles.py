@@ -61,13 +61,16 @@ class SimpleCycle:
 
     def canonical(self) -> tuple[int, ...]:
         """Lexicographically least rotation of the smaller direction."""
-        best: Optional[tuple[int, ...]] = None
-        for seq in (self.vertices, tuple(reversed(self.vertices))):
-            for r in range(len(seq)):
-                rot = seq[r:] + seq[:r]
-                if best is None or rot < best:
-                    best = rot
-        return best
+        return _canonical(self.vertices)
+
+
+def _canonical(vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation over both directions of distinct vertices: it
+    starts at the least vertex and goes on to the smaller of its two
+    neighbours."""
+    i = vertices.index(min(vertices))
+    rot = vertices[i:] + vertices[:i]
+    return rot if rot[1] < rot[-1] else rot[:1] + rot[:0:-1]
 
 
 def image_walk(
@@ -291,7 +294,7 @@ def find_cycles_near(
                     if depth >= 3 and path[1] < path[-1]:
                         count += 1
                         if not count_only:
-                            cycles.append(SimpleCycle(SimpleCycle(tuple(path)).canonical()))
+                            cycles.append(SimpleCycle(_canonical(tuple(path))))
                     continue
                 if nxt in blocked:
                     continue
@@ -303,7 +306,7 @@ def find_cycles_near(
                     if depth >= 2 and path[1] < nxt and nxt in ring:
                         count += 1
                         if not count_only:
-                            cycles.append(SimpleCycle(SimpleCycle((*path, nxt)).canonical()))
+                            cycles.append(SimpleCycle(_canonical((*path, nxt))))
                     continue
                 path.append(nxt)
                 blocked.add(nxt)

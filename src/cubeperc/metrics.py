@@ -13,7 +13,6 @@ an infinite report rather than an exception.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -210,8 +209,9 @@ _numba = None
 
 # the first labelling pass takes the edges along coordinates below this
 # one: they join vertices inside aligned blocks of 2^_BLOCK_BITS, so its
-# DFS stays in L2 instead of jumping across the whole label array (the
-# cut is measured in the `components` docstring)
+# DFS stays in L2 instead of jumping across the whole label array (at
+# n = 24, cuts at 12, 14 and 18 and a single pass were all slower; the
+# times are in CHANGES.md)
 _BLOCK_BITS = 16
 
 
@@ -221,56 +221,67 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     Two scipy passes over the open edges (block-wise cluster
     relabelling, Hoshen & Kopelman 1976).  The first labels the edges
     along coordinates below _BLOCK_BITS, which stay inside blocks of
-    2^_BLOCK_BITS consecutive vertices.  The second labels the graph the
-    remaining edges make between the first pass's components, and the
-    two compose.  For n <= _BLOCK_BITS the first pass is the whole
-    labelling.  An edge along a high coordinate jumps 2^c vertices, so a
-    single DFS over the whole cube misses the cache on most steps; the
-    block pass keeps those misses out of the larger part of the work and
-    leaves the second pass a smaller graph (at n = 24, alpha = 0.75,
-    4.8 M nodes instead of 16.8 M).  Labelling that sample on a 2-core
-    Xeon with 2 MiB of L2 per core (median of 3 runs):
+    2^_BLOCK_BITS consecutive vertices, one aligned window of
+    2^max(_BLOCK_BITS, 16) vertices at a time (the whole cube for
+    n <= 16): each window reads only its own bytes of the packed draw,
+    labels a window-sized graph and numbers its components after those
+    of the windows before it.  The second labels the graph that the
+    edges along the remaining coordinates make between the first pass's
+    components, and the two compose.  An edge along a high coordinate
+    jumps 2^c vertices, so a single DFS over the whole cube misses the
+    cache on most steps; the block pass keeps those misses out of the
+    larger part of the work and leaves the second pass a smaller graph
+    (at n = 24, alpha = 0.75, 4.8 M nodes instead of 16.8 M).  At 2^16
+    vertices a block's int32 labels and the csr rows scipy reads in both
+    directions take about 1 MiB.
 
-        cut at coordinate   12      14      16      18      none (one pass)
-        time                5.53 s  4.78 s  4.59 s  5.21 s  8.21 s
-
-    At 2^16 vertices a block's int32 labels and the csr rows scipy reads
-    in both directions take about 1 MiB; at 2^18 they no longer fit.
+    Sizes are counted on the composed ids, one count per component, and
+    put in label order by sorting the ids' smallest vertices.  Past the
+    nv-long int32 ids and labels, the largest thing held is the
+    contracted graph of the high edges (at n = 24, alpha = 0.75, about
+    185 MiB of a 250 MiB traced peak).
     """
-    nv = sample.shape.vertex_count
+    n, nv = sample.shape.n, sample.shape.vertex_count
     # a bond sample has every vertex, so it skips the presence array
     site = sample.model.has_site_draws
     present = sample.present_array() if site else None
-    if site and not present.any():
-        return ComponentLabeling(
-            np.full(nv, -1, dtype=np.int32),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            -1,
-        )
-    # endpoints come one coordinate at a time, so the high edges are
-    # contracted before they are joined up, and each pass's graph is
-    # freed when its call returns: the peak holds one pass
-    edges = sample.open_edge_endpoints()
-    ncomp, raw = connected_components(_csr(itertools.islice(edges, _BLOCK_BITS), nv), directed=False)
-    if sample.shape.n > _BLOCK_BITS:
-        contracted = ((raw[a], raw[b]) for a, b in edges)
+    low = range(min(_BLOCK_BITS, n))
+    # whole blocks, and never fewer than 2^16 vertices, so a small cut
+    # does not multiply the scipy calls
+    size = min(1 << max(_BLOCK_BITS, 16), nv)
+    raw = np.empty(nv, dtype=np.int32)
+    ncomp = 0
+    for start in range(0, nv, size):
+        graph = _csr(sample.open_edge_endpoints(low, start, size), size)
+        k, window = connected_components(graph, directed=False)
+        np.add(window, ncomp, out=raw[start : start + size])
+        ncomp += k
+    if n > _BLOCK_BITS:
+        # endpoints come one coordinate at a time, so the high edges are
+        # contracted before they are joined up
+        high = sample.open_edge_endpoints(range(_BLOCK_BITS, n))
+        contracted = ((raw[a], raw[b]) for a, b in high)
         ncomp, merged = connected_components(_csr(contracted, ncomp), directed=False)
         raw = merged[raw]
+    # an absent vertex is a singleton of both passes, so counting present
+    # vertices only leaves its id at size 0.  np.add.at reads the int32
+    # ids as they are; np.bincount would copy them to int64 first
+    sizes = np.zeros(ncomp, dtype=np.int64)
+    np.add.at(sizes, raw[present] if site else raw, 1)
     # reversed assignment leaves each id's first (smallest) vertex, so
     # every component is named by its smallest vertex
     canon = np.empty(ncomp, dtype=np.int32)
     canon[raw[::-1]] = np.arange(nv - 1, -1, -1, dtype=np.int32)
     labels = canon[raw]
+    order = np.argsort(canon)
+    comp_ids = canon[order].astype(np.int64)
+    comp_sizes = sizes[order]
     if site:
-        labels = np.where(present, labels, np.int32(-1))
-        sizes_full = np.bincount(labels[labels >= 0], minlength=nv)
-    else:
-        sizes_full = np.bincount(labels, minlength=nv)
-    comp_ids = np.nonzero(sizes_full)[0].astype(np.int64)
-    comp_sizes = sizes_full[comp_ids]
-    biggest = comp_sizes.max()
-    giant = int(comp_ids[comp_sizes == biggest].min())
+        labels[~present] = -1
+        keep = comp_sizes > 0
+        comp_ids, comp_sizes = comp_ids[keep], comp_sizes[keep]
+    # ids ascend, so the first largest is the one with the smallest label
+    giant = int(comp_ids[comp_sizes.argmax()]) if len(comp_ids) else -1
     return ComponentLabeling(labels, comp_ids, comp_sizes, giant)
 
 

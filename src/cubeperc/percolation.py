@@ -231,36 +231,51 @@ class PercolationSample:
         self._present_cache = out
         return out
 
-    def edge_draw_slice(self, coord: int) -> np.ndarray:
-        """Boolean draw outcomes for all edges along one coordinate,
-        indexed by compressed base id."""
+    def edge_draw_slice(self, coord: int, first: int = 0, count: Optional[int] = None) -> np.ndarray:
+        """Boolean draw outcomes for the edges along one coordinate with
+        compressed base ids first .. first + count - 1 (all of them by
+        default), indexed from first."""
         half = 1 << (self.shape.n - 1)
-        start = coord * half
-        lo, hi = start >> 3, (start + half + 7) >> 3
+        count = half - first if count is None else count
+        start = coord * half + first
+        lo, hi = start >> 3, (start + count + 7) >> 3
         bits = np.unpackbits(self._edge_bits[lo:hi], bitorder="little")
         skip = start - (lo << 3)
-        return bits[skip : skip + half].view(bool)
+        return bits[skip : skip + count].view(bool)
 
-    def _open_slices(self) -> Iterator[np.ndarray]:
-        """Per coordinate c, the open edges along c as a boolean
-        (2^(n-c-1), 1, 2^c) array indexed [i, 0, j] by compressed base id
-        i * 2^c + j.  A vertex array viewed as (2^(n-c-1), 2, 2^c) holds
-        that edge's two ends at [i, 0, j] and [i, 1, j]."""
-        n = self.shape.n
-        present = self.present_array() if self.model.has_site_draws else None
-        for c in range(n):
-            shape3 = (1 << (n - c - 1), 2, 1 << c)
-            open_c = self.edge_draw_slice(c).reshape(shape3[0], 1, shape3[2])
+    def _open_slices(
+        self, coords: Optional[range] = None, start: int = 0, size: Optional[int] = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Per coordinate c in coords (all by default), c and the open edges
+        along c with both ends in the vertex window [start, start + size)
+        (the whole cube by default), as a boolean (size / 2^(c+1), 1, 2^c)
+        array indexed [i, 0, j] by window-local compressed base id
+        i * 2^c + j.  The window vertices viewed as (size / 2^(c+1), 2,
+        2^c) hold that edge's two ends at [i, 0, j] and [i, 1, j].
+
+        size is a power of two, at least 2^(c+1) for every c, and start a
+        multiple of it, so the window's edges along c are the size / 2
+        draws from compressed id start / 2 on: each window reads only its
+        own bytes of the packed draw, and presence is ANDed in per window."""
+        coords = range(self.shape.n) if coords is None else coords
+        size = self.shape.vertex_count if size is None else size
+        present = self.present_array()[start : start + size] if self.model.has_site_draws else None
+        for c in coords:
+            shape3 = (size >> (c + 1), 2, 1 << c)
+            open_c = self.edge_draw_slice(c, start >> 1, size >> 1).reshape(shape3[0], 1, shape3[2])
             if present is not None:
                 ends = present.reshape(shape3)
                 open_c = open_c & ends[:, :1] & ends[:, 1:]
-            yield open_c
+            yield c, open_c
 
-    def open_edge_endpoints(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per coordinate c, int32 (base, other) vertex arrays of the open
-        edges: base ascending with bit c clear, other = base + 2^c.
-        int32 holds every vertex up to the hard cap of n = 30."""
-        for c, open_c in enumerate(self._open_slices()):
+    def open_edge_endpoints(
+        self, coords: Optional[range] = None, start: int = 0, size: Optional[int] = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per coordinate c in coords, int32 (base, other) vertex arrays of
+        the open edges in the window of `_open_slices`, numbered from the
+        window's start: base ascending with bit c clear, other = base +
+        2^c.  int32 holds every vertex up to the hard cap of n = 30."""
+        for c, open_c in self._open_slices(coords, start, size):
             comp = np.flatnonzero(open_c).astype(np.int32)
             base = comp + ((comp >> c) << c)  # a 0 inserted at bit c
             yield base, base + (1 << c)
@@ -269,7 +284,7 @@ class PercolationSample:
         """uint32 per-vertex masks of open incident edges, cached."""
         if self._mask_cache is None:
             masks = np.zeros(self.shape.vertex_count, dtype=np.uint32)
-            for c, open_c in enumerate(self._open_slices()):
+            for c, open_c in self._open_slices():
                 # both ends of each edge at once, through the paired view
                 ends = masks.reshape(open_c.shape[0], 2, open_c.shape[2])
                 ends |= open_c.astype(np.uint32) << np.uint32(c)
@@ -277,7 +292,7 @@ class PercolationSample:
         return self._mask_cache
 
     def open_edge_count(self) -> int:
-        return sum(int(np.count_nonzero(open_c)) for open_c in self._open_slices())
+        return sum(int(np.count_nonzero(open_c)) for _, open_c in self._open_slices())
 
     # -- serialization ---------------------------------------------------
 

@@ -255,6 +255,18 @@ def oracle_cycles_through(g: nx.Graph, v: int, max_length: int) -> set[tuple[int
     return found
 
 
+def all_rotations_canonical(vertices) -> tuple[int, ...]:
+    """The `SimpleCycle.canonical` that the least-vertex rotation
+    replaced: the least of all rotations of both directions."""
+    best = None
+    for seq in (tuple(vertices), tuple(reversed(vertices))):
+        for r in range(len(seq)):
+            rot = seq[r:] + seq[:r]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
 def recursive_census(
     sm, v: int, max_length: int, radius: int, budget=None, count_only=False, closed=None
 ):
@@ -300,8 +312,7 @@ def recursive_census(
                 if nxt == w and len(path) >= 3 and path[1] < path[-1]:
                     count += 1
                     if not count_only:
-                        cyc = SimpleCycle(tuple(path))
-                        cycles.append(SimpleCycle(cyc.canonical()))
+                        cycles.append(SimpleCycle(all_rotations_canonical(path)))
                     continue
                 if nxt in on_path or (nxt < w and nxt in ball) or len(path) >= max_length:
                     continue

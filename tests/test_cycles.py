@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     MODEL_KINDS,
+    all_rotations_canonical,
     open_graph,
     oracle_bfs,
     oracle_cycles_through,
@@ -62,6 +63,10 @@ class TestSimpleCycleCanonical:
         if flip:
             turned = turned[::-1]
         assert SimpleCycle(verts).canonical() == SimpleCycle(turned).canonical()
+
+    @given(st.lists(st.integers(0, 1 << 30), min_size=3, max_size=12, unique=True))
+    def test_matches_all_rotations(self, verts):
+        assert SimpleCycle(tuple(verts)).canonical() == all_rotations_canonical(verts)
 
     def test_rejects_short_or_repeating(self):
         with pytest.raises(ValueError):

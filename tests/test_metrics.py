@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from cubeperc.metrics import (
     components,
     evaluate_distortion,
 )
-from cubeperc.percolation import PercModel, sample
+from cubeperc.percolation import PercModel, PercolationSample, sample
 
 perc_case = st.tuples(
     st.integers(2, 6), st.floats(0.1, 0.9), st.integers(0, 2**32)
@@ -187,21 +188,52 @@ class TestComponents:
                 assert lab.labels[v] == -1
         assert lab.giant_size == max((len(c) for c in want), default=0)
 
+    @staticmethod
+    def assert_matches_one_call(sm, case):
+        # labels bit for bit, dtype included, and the sizes counted from
+        # them over the present vertices
+        lab = components(sm)
+        want = one_call_labels(sm)
+        assert lab.labels.dtype == want.dtype
+        assert np.array_equal(lab.labels, want), case
+        ids, sizes = np.unique(want[sm.present_array()], return_counts=True)
+        assert lab.comp_ids.dtype == lab.comp_sizes.dtype == np.int64
+        assert np.array_equal(lab.comp_ids, ids), case
+        assert np.array_equal(lab.comp_sizes, sizes), case
+        # ties go to the smallest label
+        giant = int(ids[sizes == sizes.max()].min()) if len(ids) else -1
+        assert lab.giant_label == giant, case
+
     @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_matches_one_call_labelling(self, kind, block_bits, monkeypatch):
-        # bit for bit, dtype included, whatever the cut between the
-        # block pass and the contracted pass (None keeps the default)
+        # whatever the cut between the block pass and the contracted
+        # pass (None keeps the default)
         if block_bits is not None:
             monkeypatch.setattr(metrics, "_BLOCK_BITS", block_bits)
         for n in (1, 2, 5, 9, 17, 18):
             for p in (n**-0.75, 0.5):
                 for seed in (0, 1):
                     sm = sample(CubeShape(n), perc_model(kind, p), seed)
-                    labels = components(sm).labels
-                    want = one_call_labels(sm)
-                    assert labels.dtype == want.dtype
-                    assert np.array_equal(labels, want), (n, p, seed)
+                    self.assert_matches_one_call(sm, (n, p, seed))
+
+    @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
+    @pytest.mark.parametrize("kind", ["site", "mixed"])
+    def test_empty_windows_match_one_call_labelling(self, kind, block_bits, monkeypatch):
+        # whole 2^16-vertex windows of the first pass without a present
+        # vertex: none at n = 16, the first of two at n = 17, the middle
+        # two of four at n = 18, and all of them
+        if block_bits is not None:
+            monkeypatch.setattr(metrics, "_BLOCK_BITS", block_bits)
+        window = 1 << 16
+        for n, empty in ((16, ()), (17, (0,)), (18, (1, 2)), (18, (0, 1, 2, 3))):
+            drawn = sample(CubeShape(n), perc_model(kind, 0.5), 3)
+            vertex_bits = drawn._vertex_bits.copy()
+            for b in empty:
+                vertex_bits[b * window >> 3 : (b + 1) * window >> 3] = 0
+            sm = PercolationSample(drawn.shape, drawn.model, 3, drawn._edge_bits, vertex_bits)
+            assert not any(sm.present_array()[b * window : (b + 1) * window].any() for b in empty)
+            self.assert_matches_one_call(sm, (n, empty))
 
     def test_two_pass_labelling_pinned(self):
         # sha256 of labels, comp_ids and comp_sizes at n = 20, where the
@@ -216,6 +248,19 @@ class TestComponents:
             h.update(arr.tobytes())
         assert h.hexdigest() == "496923cb6f6118323ee1ec879e84084a043d42b23daa09f5314b43ff1acd8b30"
         assert (lab.giant_label, lab.giant_size, lab.n_components) == (0, 877491, 135812)
+
+    def test_labelling_memory_bounded(self):
+        # at n = 20 a whole-cube graph of the low edges, or an nv-long
+        # int64 size count, takes the traced peak past 100 MiB; the
+        # windowed pass and the per-id sizes stay near 36 MiB
+        sm = sample(CubeShape(20), PercModel.bond(20**-0.25), 0)
+        tracemalloc.start()
+        try:
+            components(sm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak / 2**20
 
     def test_giant_mask_empty_without_vertices(self):
         sm = sample(CubeShape(4), PercModel.site(0.0), 0)

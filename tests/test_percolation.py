@@ -245,6 +245,35 @@ def test_edge_endpoints_match_oracle(model, n):
         assert np.array_equal(other, expect + (1 << c))
 
 
+@pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 9, 17))
+def test_window_endpoints_match_whole_cube(model, n):
+    # the coordinates below a cut, read one aligned window at a time,
+    # shifted by the window start and joined in window order, are the
+    # whole-cube endpoints; the read of the coordinates from the cut on
+    # is the rest.  At n <= 3 a coordinate's draws start inside a byte
+    sm = sample(CubeShape(n), model, 11)
+    whole = list(sm.open_edge_endpoints())
+    nv = sm.shape.vertex_count
+    for cut in range(1, n + 1):
+        high = list(sm.open_edge_endpoints(range(cut, n)))
+        assert len(high) == n - cut
+        for (base, other), (wb, wo) in zip(high, whole[cut:]):
+            assert base.dtype == other.dtype == np.int32
+            assert np.array_equal(base, wb) and np.array_equal(other, wo)
+        # at n = 17 only windows of 2^14 vertices and up, at most 8 of them
+        for bits in range(max(cut, n - 3 if n > 9 else 1), n + 1):
+            size = 1 << bits
+            low = [[] for _ in range(cut)]
+            for start in range(0, nv, size):
+                for c, (base, other) in enumerate(sm.open_edge_endpoints(range(cut), start, size)):
+                    assert base.dtype == other.dtype == np.int32
+                    assert np.array_equal(other, base + (1 << c))
+                    low[c].append(base + start)
+            for c in range(cut):
+                assert np.array_equal(np.concatenate(low[c]), whole[c][0]), (cut, bits, c)
+
+
 def test_vertex_draw_offset_is_edge_count():
     for n in (1, 4, 9):
         shape = CubeShape(n)
