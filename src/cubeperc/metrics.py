@@ -1,6 +1,14 @@
 """Graph metrics over percolation samples: BFS distances, connected
 components, and metric distortion of vertex maps.
 
+Open-graph distances come from one word-parallel multi-source BFS over
+the open-neighbour masks, `_bfs_levels`: `bfs` runs it from one source,
+`_distances` from many (the exact evaluator, the brute-force search and
+`cycles.image_walk`), and `_pair_distances` from 64 pair starts at a
+time (the sampled contraction side).  `bounded_distance` is the scalar
+search for single pairs with a cutoff.  Components come from scipy's
+`connected_components`.
+
 Distortion here is the non-symmetric kind: for f mapping the full cube
 into a sample, D+ is the worst stretch max(1, sup d_Y/d_X) and, because
 d_Y is subadditive along cube paths, the supremum over adjacent source
@@ -19,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, GiantTooSmall, SourceAbsent, TooLarge
 from .hypercube import CubeShape, flip_neighbors, hamming
@@ -47,30 +55,136 @@ class DistanceField:
 
 def _csr(edges, size: int) -> csr_matrix:
     """A size x size csr adjacency matrix holding each edge of the
-    (row, col) array groups once, for scipy's csgraph routines with
-    directed=False.  float64 data, so no cast copy happens inside them."""
+    (row, col) array groups once, for the `connected_components` passes
+    of `components` with directed=False.  float64 data, so no cast copy
+    happens inside scipy."""
     row, col = map(np.concatenate, zip(*edges))
     return coo_matrix((np.ones(len(row), dtype=np.float64), (row, col)), shape=(size, size)).tocsr()
 
 
-def _open_graph(sample: PercolationSample) -> csr_matrix:
-    """The whole open graph in one adjacency, for `_distances` only;
-    `components` labels it in two passes instead."""
-    return _csr(sample.open_edge_endpoints(), sample.shape.vertex_count)
+# a level whose frontier holds fewer than this share of the cube's
+# vertices expands those vertices alone (the sparse step); a larger one
+# sweeps the whole cube along every coordinate (the dense step).  64-pair
+# batches took the same time from 1/16 to 1/4 and up to 22 % longer at
+# 1/32 or 1/2 (n = 16 at p = 0.97 and 0.5, n = 20 at p = 0.86), and at
+# 1/16 a single-source search at n = 12, p = 0.155 took 3.0 ms against
+# 1.9 ms
+_SPARSE_SHARE = 1 / 8
+
+
+def _bfs_levels(sample: PercolationSample, sources):
+    """Multi-source BFS over the open-neighbour masks, one level at a time.
+
+    Multi-source BFS (Then et al., VLDB 2014): the search from
+    sources[i] is bit i % 64 of word i // 64 in each vertex's row of an
+    (nv, ceil(k / 64)) uint64 array, so all k searches advance one level
+    per step.  Yields (level, rows, reached) from level 0, the sources,
+    until no search reaches a new vertex: rows are the vertices, in
+    ascending order, where some search first arrives at this level, and
+    reached is the word array with the bits of exactly those searches
+    set, zero elsewhere.  The next level overwrites reached.
+
+    Each level picks its step by the size of its frontier, as
+    direction-optimizing BFS does (Beamer et al., SC 2012).  The dense
+    step sweeps the cube once per coordinate c: the word array viewed as
+    (2^(n-c-1), 2, 2^c, words) holds each edge's two ends across its
+    middle axis, so swapping that axis's halves and multiplying by the
+    edge's open bit ORs every vertex's words into its neighbour across
+    c.  The sparse step, taken while the frontier has fewer than
+    _SPARSE_SHARE of the cube's vertices, ORs only the frontier rows into
+    their open neighbours.
+    """
+    n, nv = sample.shape.n, sample.shape.vertex_count
+    masks = sample.open_neighbor_masks_array()
+    sources = np.asarray(sources, dtype=np.int64)
+    k = len(sources)
+    idx = np.arange(k)
+    frontier = np.zeros((nv, -(-k // 64)), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (sources, idx >> 6), np.uint64(1) << (idx & 63).astype(np.uint64))
+    unvisited = ~frontier
+    nxt = np.empty_like(frontier)
+    flips = np.left_shift(1, np.arange(n))
+    opens = moved = None
+    rows = np.unique(sources)
+    level = 0
+    while len(rows):
+        yield level, rows, frontier
+        level += 1
+        nxt.fill(0)
+        if len(rows) < _SPARSE_SHARE * nv:
+            # every open edge out of the frontier, row by row (bit c of a
+            # little-endian mask is column c of its unpacked bytes); two
+            # rows may share a neighbour, hence the unbuffered OR
+            out = masks[rows]
+            bits = np.unpackbits(out.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
+            ends = (rows[:, None] ^ flips)[bits.view(bool)]
+            np.bitwise_or.at(nxt, ends, np.repeat(frontier[rows], np.bitwise_count(out), axis=0))
+        else:
+            if opens is None:
+                # built on the first dense level: per coordinate, the
+                # view shape and the open bits broadcast over the words
+                opens = []
+                for c in range(n):
+                    shape = (nv >> (c + 1), 2, 1 << c, frontier.shape[1])
+                    opens.append((shape, (masks & flips[c]).astype(bool).reshape(*shape[:3], 1)))
+                moved = np.empty_like(frontier)
+            for shape, open_c in opens:
+                # np.bitwise_or(..., where=open_c) took 1.3-2.8x as long
+                # at n = 12-20
+                np.multiply(frontier.reshape(shape)[:, ::-1], open_c, out=moved.reshape(shape))
+                nxt |= moved
+        nxt &= unvisited
+        unvisited ^= nxt
+        # a row is reached when any of its words is; one OR per word
+        # column, since numpy reduces a short trailing axis slowly
+        any_word = nxt[:, 0]
+        for w in range(1, nxt.shape[1]):
+            any_word = any_word | nxt[:, w]
+        rows = (any_word != 0).nonzero()[0]
+        frontier, nxt = nxt, frontier
 
 
 def _distances(sample: PercolationSample, sources) -> np.ndarray:
     """Open-graph distances from each source (a row per source, or one
-    row for a scalar source), float64 with inf for unreached."""
-    return dijkstra(_open_graph(sample), directed=False, unweighted=True, indices=sources)
+    row for a scalar source), float64 with inf for unreached.
+
+    One `_bfs_levels` run from all the sources.  Each level adds
+    level + 1 where its searches arrive to an (nv, k) array of uint8,
+    widened only if a search runs 255 levels deep, 0 meaning unreached;
+    one table lookup at the end gives the float matrix."""
+    scalar = np.ndim(sources) == 0
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    k = len(sources)
+    reach = np.zeros((sample.shape.vertex_count, k), dtype=np.uint8)
+    top = np.iinfo(reach.dtype).max
+    level = 0
+    for level, rows, reached in _bfs_levels(sample, sources):
+        if level == top:
+            reach = reach.astype(np.min_scalar_type(level + 1))
+            top = np.iinfo(reach.dtype).max
+        # bit i of a row's words is search i (little-endian words), and
+        # each search reaches each vertex at one level at most; no name
+        # holds the unpacked bits, which can be as large as reach
+        reach[rows] += (
+            np.unpackbits(reached[rows].view(np.uint8), axis=1, count=k, bitorder="little")
+            .astype(reach.dtype, copy=False) * (level + 1)
+        )
+    # a row per source, then 0 to inf and d + 1 to d by table lookup
+    reach = np.ascontiguousarray(reach.T)
+    table = np.arange(-1.0, level + 1)
+    table[0] = np.inf
+    dist = table[reach]
+    return dist[0] if scalar else dist
 
 
 def bfs(sample: PercolationSample, source: int) -> DistanceField:
     if not sample.vertex_present(source):
         raise SourceAbsent(f"vertex {source} is not present in the sample")
-    dist = _distances(sample, source)
-    dist[np.isinf(dist)] = -1
-    return DistanceField(source, dist.astype(np.int32))
+    # a single search reaches every row of its level
+    dist = np.full(sample.shape.vertex_count, -1, dtype=np.int32)
+    for level, rows, _ in _bfs_levels(sample, [source]):
+        dist[rows] = level
+    return DistanceField(source, dist)
 
 
 def bounded_distance(
@@ -126,50 +240,19 @@ PAIR_BATCH = 64
 
 def _pair_distances(sample: PercolationSample, us, vs) -> list[Optional[int]]:
     """Open-graph distances d(us[i], vs[i]) for up to 64 pairs at once,
-    None where a pair is unreachable.
-
-    Multi-source BFS (Then et al., VLDB 2014): bit i of a vertex's
-    uint64 word stands for the search from us[i], so every search
-    advances one level per sweep over the cube.  A step along
-    coordinate c is the swap of the two halves of the middle axis of
-    the word array viewed as (2^(n-c-1), 2, 2^c), kept where bit c of
-    the mask array says the edge is open.
-    """
+    None where a pair is unreachable: one `_bfs_levels` run from the
+    us, reading each level's bits at the vs until every pair is met."""
     k = len(us)
     if not 0 < k <= PAIR_BATCH or len(vs) != k:
         raise ValueError(f"need 1 to {PAIR_BATCH} pairs of equal length, got {k}")
-    n = sample.shape.n
-    nv = sample.shape.vertex_count
-    masks = sample.open_neighbor_masks_array()
-    us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
-
-    dist = np.where(us == vs, 0, -1)
-    frontier = np.zeros(nv, dtype=np.uint64)
-    np.bitwise_or.at(frontier, us, bits)
-    unvisited = ~frontier
-    nxt = np.empty_like(frontier)
-    # per coordinate, built once per batch: the view shape and its open bits
-    views = []
-    for c in range(n):
-        shape3 = (nv >> (c + 1), 2, 1 << c)
-        open_c = (masks & np.uint32(1 << c)).astype(bool).reshape(shape3)
-        views.append((shape3, open_c))
-    level = 0
-    while (dist < 0).any():
-        level += 1
-        nxt.fill(0)
-        for shape3, open_c in views:
-            step = frontier.reshape(shape3)[:, ::-1, :]
-            nxt3 = nxt.reshape(shape3)
-            np.bitwise_or(nxt3, step, out=nxt3, where=open_c)
-        nxt &= unvisited
-        if not nxt.any():
+    dist = np.full(k, -1)
+    for level, _, reached in _bfs_levels(sample, us):
+        # each search's bit reaches its target at one level at most
+        dist[(reached[vs, 0] & bits) != 0] = level
+        if (dist >= 0).all():
             break
-        unvisited ^= nxt
-        dist[(dist < 0) & ((nxt[vs] & bits) != 0)] = level
-        frontier, nxt = nxt, frontier
     return [None if d < 0 else d for d in dist.tolist()]
 
 
@@ -345,11 +428,11 @@ def evaluate_distortion(
     max(1, d_Y) / d_X over the contraction blocks, and their pairs are
     the witnesses.
 
-    Exact mode reads every d_Y from one scipy call over the distinct
-    images; it is capped at n <= EXACT_CAP_DEFAULT.  Its stretch blocks
-    are the cube edges of each coordinate c in turn, lower endpoint
-    ascending; its contraction blocks are the pairs a < b of each vertex
-    a in turn.  Sampled mode draws pair_count adjacent pairs, each
+    Exact mode reads every d_Y from one `_distances` run from the
+    distinct images; it is capped at n <= EXACT_CAP_DEFAULT.  Its
+    stretch blocks are the cube edges of each coordinate c in turn,
+    lower endpoint ascending; its contraction blocks are the pairs
+    a < b of each vertex a in turn.  Sampled mode draws pair_count adjacent pairs, each
     measured by the scalar bounded_distance, then pair_count distinct
     pairs, batched PAIR_BATCH (64) per uint64 word in one multi-source
     BFS, giving a valid lower bound on D; pair_count must be positive.

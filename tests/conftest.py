@@ -14,13 +14,22 @@ from collections import deque
 import networkx as nx
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
+import cubeperc
 from cubeperc.cycles import SimpleCycle
 from cubeperc.embedding import FailureReport
 from cubeperc.hypercube import CubeShape, flip_neighbors, hamming
-from cubeperc.metrics import DistortionReport, VertexMap, _open_graph, bounded_distance
+from cubeperc.metrics import DistortionReport, VertexMap, bounded_distance
 from cubeperc.percolation import CounterStream, PercModel, sample
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath = ["src"] goes before PYTHONPATH, so name the
+    # package that is under test
+    return f"cubeperc: {cubeperc.__file__}"
+
 
 # one line per acceptance gate, echoed at the end of the run so the
 # verdicts survive pytest's output capture
@@ -57,19 +66,26 @@ def open_edge_set(sm) -> set[tuple[int, int]]:
     return out
 
 
-def oracle_masks(sm) -> np.ndarray:
-    """The per-vertex open-neighbour masks by the scatter build: per
-    coordinate, find the drawn edges, keep those with both ends present
-    and set bit c at both ends."""
+def oracle_open_edges(sm):
+    """Per coordinate c, c and the (base, other) int64 ends of the open
+    edges along c, from the raw draws: find the drawn edges and keep
+    those with both ends present."""
     present = sm.present_array()
-    masks = np.zeros(sm.shape.vertex_count, dtype=np.uint32)
     for c in range(sm.shape.n):
         comp = np.nonzero(sm.edge_draw_slice(c))[0]
         base = ((comp >> c) << (c + 1)) | (comp & ((1 << c) - 1))
         other = base | (1 << c)
         keep = present[base] & present[other]
-        masks[base[keep]] |= np.uint32(1 << c)
-        masks[other[keep]] |= np.uint32(1 << c)
+        yield c, base[keep], other[keep]
+
+
+def oracle_masks(sm) -> np.ndarray:
+    """The per-vertex open-neighbour masks by the scatter build: set
+    bit c at both ends of every open edge along c."""
+    masks = np.zeros(sm.shape.vertex_count, dtype=np.uint32)
+    for c, base, other in oracle_open_edges(sm):
+        masks[base] |= np.uint32(1 << c)
+        masks[other] |= np.uint32(1 << c)
     return masks
 
 
@@ -109,11 +125,27 @@ def oracle_components(sm) -> list[set[int]]:
     return comps
 
 
+def scipy_open_graph(sm):
+    """The whole open graph as one scipy csr adjacency, each edge of
+    `oracle_open_edges` once."""
+    nv = sm.shape.vertex_count
+    _, base, other = zip(*oracle_open_edges(sm))
+    row, col = np.concatenate(base), np.concatenate(other)
+    return coo_matrix((np.ones(len(row)), (row, col)), shape=(nv, nv)).tocsr()
+
+
+def scipy_distances(sm, sources) -> np.ndarray:
+    """The scipy `dijkstra` distances that the word-parallel BFS of
+    `metrics._distances` replaced: a float64 row per source (one row for
+    a scalar source), inf where unreached."""
+    return dijkstra(scipy_open_graph(sm), directed=False, unweighted=True, indices=sources)
+
+
 def one_call_labels(sm) -> np.ndarray:
     """The single-pass labelling that `components` replaced: one scipy
     call on the whole open graph, each component named by its smallest
     vertex, absent vertices -1, int32."""
-    ncomp, raw = connected_components(_open_graph(sm), directed=False)
+    ncomp, raw = connected_components(scipy_open_graph(sm), directed=False)
     nv = sm.shape.vertex_count
     canon = np.full(ncomp, nv, dtype=np.int32)
     np.minimum.at(canon, raw, np.arange(nv, dtype=np.int32))

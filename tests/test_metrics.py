@@ -14,6 +14,7 @@ from conftest import (
     oracle_min_distortion,
     oracle_sampled_distortion,
     perc_model,
+    scipy_distances,
 )
 from cubeperc import metrics
 from cubeperc.errors import CapExceeded, SourceAbsent, TooLarge
@@ -36,6 +37,11 @@ from cubeperc.percolation import PercModel, PercolationSample, sample
 perc_case = st.tuples(
     st.integers(2, 6), st.floats(0.1, 0.9), st.integers(0, 2**32)
 )
+
+# the BFS kernel's step modes, forced through the share of the cube
+# below which a level takes the sparse step: never, always, and the
+# default switch between the two
+STEP_SHARES = {"dense": 0.0, "sparse": 2.0, "switched": metrics._SPARSE_SHARE}
 
 
 def test_bfs_full_cube_is_hamming(full4):
@@ -76,11 +82,14 @@ def test_bfs_matches_oracle(kind, case):
     n, p, seed = case
     sm = sample(CubeShape(n), perc_model(kind, p), seed)
     for source in np.flatnonzero(sm.present_array()).tolist():
-        field = bfs(sm, source)
         want = oracle_bfs(sm, source)
         expect = [want.get(v, -1) for v in range(sm.shape.vertex_count)]
-        assert field.dist.dtype == np.int32
-        assert field.dist.tolist() == expect
+        for share in STEP_SHARES.values():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "_SPARSE_SHARE", share)
+                field = bfs(sm, source)
+            assert field.dist.dtype == np.int32
+            assert field.dist.tolist() == expect, share
 
 
 @settings(max_examples=30, deadline=None)
@@ -111,10 +120,67 @@ def test_bounded_distance_cutoff(full4):
     assert bounded_distance(full4, 7, 7, cutoff=0) == 0
 
 
+class TestDistances:
+    """`_distances` against scipy's `dijkstra` bit for bit, in each step
+    mode of the kernel."""
+
+    @staticmethod
+    def assert_matches_scipy(sm, sources, case):
+        got = metrics._distances(sm, sources)
+        want = scipy_distances(sm, sources)
+        assert got.dtype == want.dtype == np.float64, case
+        assert got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes(), case
+
+    @pytest.mark.parametrize("step", STEP_SHARES)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_scipy(self, kind, step, monkeypatch):
+        # 1 to 129 sources span one to three words, and every vertex up
+        # to sixteen; p = 0.3 leaves many components, p = 0.8 few
+        monkeypatch.setattr(metrics, "_SPARSE_SHARE", STEP_SHARES[step])
+        absent_seen = False
+        for n in range(1, 11):
+            nv = 1 << n
+            rng = np.random.default_rng(n)
+            for p in (0.3, 0.8):
+                sm = sample(CubeShape(n), perc_model(kind, p), n)
+                for count in (1, 63, 64, 65, 129):
+                    self.assert_matches_scipy(sm, rng.integers(0, nv, count), (n, p, count))
+                self.assert_matches_scipy(sm, np.arange(nv), (n, p, "all"))
+                # repeated and absent sources, and a scalar source's 1-D row
+                absent = np.flatnonzero(~sm.present_array())[:3].tolist()
+                absent_seen |= bool(absent)
+                self.assert_matches_scipy(sm, [nv - 1, 0, nv - 1, nv - 1, *absent, 0], (n, p, "repeated"))
+                self.assert_matches_scipy(sm, nv - 1, (n, p, "scalar"))
+        assert absent_seen or kind == "bond"
+
+    @pytest.mark.parametrize("step", STEP_SHARES)
+    def test_levels_past_uint8(self, step, monkeypatch):
+        # only the edges of a Gray-code Hamiltonian path of Q_9 are open,
+        # so a search from one end runs 511 levels deep, past the 255
+        # that the uint8 level array holds before it widens
+        monkeypatch.setattr(metrics, "_SPARSE_SHARE", STEP_SHARES[step])
+        n = 9
+        nv, half = 1 << n, 1 << (n - 1)
+        gray = np.arange(nv) ^ (np.arange(nv) >> 1)
+        lo = np.minimum(gray[:-1], gray[1:])
+        c = np.log2(gray[:-1] ^ gray[1:]).astype(np.int64)
+        draws = np.zeros(n * half, dtype=np.uint8)
+        draws[c * half + ((lo >> (c + 1)) << c) + (lo & ((1 << c) - 1))] = 1
+        sm = PercolationSample(CubeShape(n), PercModel.bond(0.5), 0, np.packbits(draws, bitorder="little"))
+        ends = [int(gray[0]), int(gray[-1])]
+        got = metrics._distances(sm, ends)
+        position = np.empty(nv, dtype=np.int64)
+        position[gray] = np.arange(nv)
+        assert got[0].tolist() == position.astype(float).tolist()
+        assert got[1].tolist() == (nv - 1 - position).astype(float).tolist()
+        self.assert_matches_scipy(sm, ends, "gray path")
+
+
 class TestPairDistances:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_matches_scalar_searches(self, kind, n):
+    def test_matches_scalar_searches(self, kind, n, monkeypatch):
         # p = 0.35 leaves several components, so some pairs have no
         # path; every seventh pair is u == v
         sm = sample(CubeShape(n), perc_model(kind, 0.35), n)
@@ -127,10 +193,12 @@ class TestPairDistances:
         for u, v, d in zip(us.tolist(), vs.tolist(), want):
             if sm.vertex_present(u):
                 assert bfs(sm, u).distance(v) == d
-        for size in (1, 63, 64):
-            assert _pair_distances(sm, us[:size], vs[:size]) == want[:size]
+        for step, share in STEP_SHARES.items():
+            monkeypatch.setattr(metrics, "_SPARSE_SHARE", share)
+            for size in (1, 63, 64):
+                assert _pair_distances(sm, us[:size], vs[:size]) == want[:size], step
 
-    def test_far_pairs_on_dense_n16(self):
+    def test_far_pairs_on_dense_n16(self, monkeypatch):
         n = 16
         sm = sample(CubeShape(n), PercModel.bond(n**-0.01), 3)
         rng = np.random.default_rng(0)
@@ -138,7 +206,9 @@ class TestPairDistances:
         vs = rng.integers(0, 2**n, PAIR_BATCH)
         want = [bounded_distance(sm, int(u), int(v)) for u, v in zip(us, vs)]
         assert sorted(want)[PAIR_BATCH // 2] >= 8
-        assert _pair_distances(sm, us, vs) == want
+        for step, share in STEP_SHARES.items():
+            monkeypatch.setattr(metrics, "_SPARSE_SHARE", share)
+            assert _pair_distances(sm, us, vs) == want, step
 
     @pytest.mark.parametrize("size", [0, PAIR_BATCH + 1])
     def test_batch_size_bounds(self, full3, size):
