@@ -55,9 +55,11 @@ class DistanceField:
 
 def _csr(edges, size: int) -> csr_matrix:
     """A size x size csr adjacency matrix holding each edge of the
-    (row, col) array groups once, for the `connected_components` passes
-    of `components` with directed=False.  float64 data, so no cast copy
-    happens inside scipy."""
+    (row, col) array groups once, for the one-window `connected_components`
+    calls of `components` with directed=False: a window's vertices at
+    level 0, its components from the level below (window-local ids from
+    0) at every later level.  float64 data, so no cast copy happens
+    inside scipy."""
     row, col = map(np.concatenate, zip(*edges))
     return coo_matrix((np.ones(len(row), dtype=np.float64), (row, col)), shape=(size, size)).tocsr()
 
@@ -297,32 +299,65 @@ _numba = None
 # times are in CHANGES.md)
 _BLOCK_BITS = 16
 
+# each later level takes the edges along this many more coordinates
+# (fewer for a ragged top level); at n = 24, alpha = 0.75 one took
+# 8 % longer for 6 % less resident memory, three gained nothing and
+# four peaked 50 MiB higher (the numbers are in ROADMAP.md)
+_LEVEL_BITS = 2
+
+# in-place rewrites of the ids run over this many of them at a time
+_CHUNK = 1 << 16
+
+
+def _take_in_place(table: np.ndarray, ids: np.ndarray, shift: int = 0) -> None:
+    """ids[i] = table[ids[i] - shift] for int32 ids, in place, _CHUNK at a
+    time: np.take copies its indices to intp and, in its default mode,
+    buffers its output, so one whole-array call would hold three times
+    the ids."""
+    for start in range(0, len(ids), _CHUNK):
+        part = ids[start : start + _CHUNK]
+        if shift:
+            part -= shift
+        np.take(table, part, out=part)
+
 
 def components(sample: PercolationSample) -> ComponentLabeling:
     """Exact labeling of the open graph's connected components.
 
-    Two scipy passes over the open edges (block-wise cluster
-    relabelling, Hoshen & Kopelman 1976).  The first labels the edges
-    along coordinates below _BLOCK_BITS, which stay inside blocks of
+    Block-wise cluster relabelling (Hoshen & Kopelman 1976), carried up
+    the coordinates one level at a time.  Level 0 labels the edges along
+    coordinates below _BLOCK_BITS, which stay inside blocks of
     2^_BLOCK_BITS consecutive vertices, one aligned window of
     2^max(_BLOCK_BITS, 16) vertices at a time (the whole cube for
     n <= 16): each window reads only its own bytes of the packed draw,
-    labels a window-sized graph and numbers its components after those
-    of the windows before it.  The second labels the graph that the
-    edges along the remaining coordinates make between the first pass's
-    components, and the two compose.  An edge along a high coordinate
-    jumps 2^c vertices, so a single DFS over the whole cube misses the
-    cache on most steps; the block pass keeps those misses out of the
-    larger part of the work and leaves the second pass a smaller graph
-    (at n = 24, alpha = 0.75, 4.8 M nodes instead of 16.8 M).  At 2^16
-    vertices a block's int32 labels and the csr rows scipy reads in both
-    directions take about 1 MiB.
+    labels a window-sized graph with one scipy call and numbers its
+    components, the block ids, after those of the windows before it.
+    An edge along a high coordinate jumps 2^c vertices, so a single DFS
+    over the whole cube misses the cache on most steps; the block pass
+    keeps those misses out of the larger part of the work.  At 2^16
+    vertices a block's int32 labels and the csr rows scipy reads in
+    both directions take about 1 MiB.
 
-    Sizes are counted on the composed ids, one count per component, and
-    put in label order by sorting the ids' smallest vertices.  Past the
-    nv-long int32 ids and labels, the largest thing held is the
-    contracted graph of the high edges (at n = 24, alpha = 0.75, about
-    185 MiB of a 250 MiB traced peak).
+    Each later level takes the edges along the next _LEVEL_BITS
+    coordinates [lo, hi), in aligned windows of 2^max(hi, 16) vertices
+    clipped to the cube.  Every window of the level below lies inside
+    one of them, and ids are numbered window by window, so a window's
+    ids from the level below form one contiguous range [c0, c1): its
+    contracted graph has c1 - c0 nodes, labelled by one scipy call, and
+    its new ids follow those of the windows before it.  Vertices keep
+    their block ids; one block-id-long map to the current id is
+    rewritten in place, window by window.  A level's graph holds only
+    its own coordinates' edges between one window's components, never
+    the contracted graph of every high edge at once.
+
+    The tail works in place on the ids, one chunk of _CHUNK vertices at
+    a time: it composes them to the final ids, counts sizes per id and
+    names each id by its smallest vertex, chunks from the last down, then
+    turns the ids into the labels.  A bond sample's labels are the only
+    nv-long array allocated.  At n = 24, alpha = 0.75 the traced peak
+    is 143 MiB (249 MiB with one whole-cube pass of the high edges): the
+    64 MiB ids, the 19 MiB block-id map and scipy's call on the top
+    level's 2.4 M-node graph.
     """
     n, nv = sample.shape.n, sample.shape.vertex_count
     # a bond sample has every vertex, so it skips the presence array
@@ -333,39 +368,66 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     # does not multiply the scipy calls
     size = min(1 << max(_BLOCK_BITS, 16), nv)
     raw = np.empty(nv, dtype=np.int32)
-    ncomp = 0
+    # first block id of each level-0 window, and the end
+    blocks = [0]
     for start in range(0, nv, size):
         graph = _csr(sample.open_edge_endpoints(low, start, size), size)
         k, window = connected_components(graph, directed=False)
-        np.add(window, ncomp, out=raw[start : start + size])
-        ncomp += k
-    if n > _BLOCK_BITS:
-        # endpoints come one coordinate at a time, so the high edges are
-        # contracted before they are joined up
-        high = sample.open_edge_endpoints(range(_BLOCK_BITS, n))
-        contracted = ((raw[a], raw[b]) for a, b in high)
-        ncomp, merged = connected_components(_csr(contracted, ncomp), directed=False)
-        raw = merged[raw]
-    # an absent vertex is a singleton of both passes, so counting present
+        np.add(window, blocks[-1], out=raw[start : start + size])
+        blocks.append(blocks[-1] + k)
+    ncomp = blocks[-1]
+    # cur maps block ids to current ids; firsts[j] is the first current
+    # id of the window that starts at level-0 window j
+    cur = np.arange(ncomp, dtype=np.int32)
+    firsts = list(blocks)
+    for lo in range(_BLOCK_BITS, n, _LEVEL_BITS):
+        coords = range(lo, min(lo + _LEVEL_BITS, n))
+        width = min(1 << max(coords[-1] + 1, 16), nv)
+        step = width // size
+        ncomp = 0
+        for j in range(0, len(blocks) - 1, step):
+            start = j * size
+            c0, c1 = firsts[j], firsts[j + step]
+            ids = raw[start : start + width]
+            edges = sample.open_edge_endpoints(coords, start, width)
+            contracted = ((cur[ids[a]] - c0, cur[ids[b]] - c0) for a, b in edges)
+            k, lab = connected_components(_csr(contracted, c1 - c0), directed=False)
+            # the window's block ids map onto [c0, c1)
+            lab += ncomp
+            _take_in_place(lab, cur[blocks[j] : blocks[j + step]], c0)
+            firsts[j] = ncomp
+            ncomp += k
+        firsts[-1] = ncomp
+    # an absent vertex is a singleton at every level, so counting present
     # vertices only leaves its id at size 0.  np.add.at reads the int32
-    # ids as they are; np.bincount would copy them to int64 first
+    # ids as they are; np.bincount would copy them to int64 first.
+    # Reversed assignment, chunks from the last down, leaves each id's
+    # first (smallest) vertex, so every component is named by its
+    # smallest vertex
     sizes = np.zeros(ncomp, dtype=np.int64)
-    np.add.at(sizes, raw[present] if site else raw, 1)
-    # reversed assignment leaves each id's first (smallest) vertex, so
-    # every component is named by its smallest vertex
     canon = np.empty(ncomp, dtype=np.int32)
-    canon[raw[::-1]] = np.arange(nv - 1, -1, -1, dtype=np.int32)
-    labels = canon[raw]
-    order = np.argsort(canon)
-    comp_ids = canon[order].astype(np.int64)
-    comp_sizes = sizes[order]
+    for start in range((nv - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
+        ids = raw[start : start + _CHUNK]
+        _take_in_place(cur, ids)
+        np.add.at(sizes, ids[present[start : start + _CHUNK]] if site else ids, 1)
+        canon[ids[::-1]] = np.arange(start + len(ids) - 1, start - 1, -1, dtype=np.int32)
+    del cur
+    _take_in_place(canon, raw)
     if site:
-        labels[~present] = -1
+        raw[~present] = -1
+    # label order, dropping each id-long array once it is read
+    order = np.argsort(canon)
+    comp_sizes = sizes[order]
+    del sizes
+    comp_ids = canon[order]
+    del canon, order
+    comp_ids = comp_ids.astype(np.int64)
+    if site:
         keep = comp_sizes > 0
         comp_ids, comp_sizes = comp_ids[keep], comp_sizes[keep]
     # ids ascend, so the first largest is the one with the smallest label
     giant = int(comp_ids[comp_sizes.argmax()]) if len(comp_ids) else -1
-    return ComponentLabeling(labels, comp_ids, comp_sizes, giant)
+    return ComponentLabeling(raw, comp_ids, comp_sizes, giant)
 
 
 @dataclass

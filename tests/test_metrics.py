@@ -288,6 +288,29 @@ class TestComponents:
                     self.assert_matches_one_call(sm, (n, p, seed))
 
     @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_levels_match_one_call_labelling(self, kind, block_bits, monkeypatch):
+        # levels above the block pass that run in several windows (every
+        # level below coordinate 16 for a patched cut, [16, 18) at
+        # n = 19), and a one-coordinate top level when n minus the cut
+        # is odd
+        if block_bits is not None:
+            monkeypatch.setattr(metrics, "_BLOCK_BITS", block_bits)
+        for n in (17, 18, 19):
+            for p in (n**-0.75, n**-0.25):
+                sm = sample(CubeShape(n), perc_model(kind, p), 2)
+                self.assert_matches_one_call(sm, (n, p))
+
+    @pytest.mark.parametrize("level_bits", [1, 3])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_level_width_matches_one_call_labelling(self, kind, level_bits, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_BITS", 2)
+        monkeypatch.setattr(metrics, "_LEVEL_BITS", level_bits)
+        for n in (9, 19):
+            sm = sample(CubeShape(n), perc_model(kind, n**-0.5), 4)
+            self.assert_matches_one_call(sm, (n, level_bits))
+
+    @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", ["site", "mixed"])
     def test_empty_windows_match_one_call_labelling(self, kind, block_bits, monkeypatch):
         # whole 2^16-vertex windows of the first pass without a present
@@ -320,17 +343,26 @@ class TestComponents:
         assert (lab.giant_label, lab.giant_size, lab.n_components) == (0, 877491, 135812)
 
     def test_labelling_memory_bounded(self):
-        # at n = 20 a whole-cube graph of the low edges, or an nv-long
-        # int64 size count, takes the traced peak past 100 MiB; the
-        # windowed pass and the per-id sizes stay near 36 MiB
-        sm = sample(CubeShape(20), PercModel.bond(20**-0.25), 0)
-        tracemalloc.start()
-        try:
-            components(sm)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 << 20, peak / 2**20
+        cases = [
+            # a whole-cube graph of the low edges, or an nv-long int64
+            # size count, takes the traced peak past 100 MiB; one
+            # whole-cube pass of the high edges held 34 MiB, the levels
+            # and the in-place tail about 21 MiB
+            (20, 0.25, 64),
+            # many components: the whole-cube pass of the high edges and
+            # the nv-long tail arrays peaked at 28 MiB, the levels and
+            # the in-place tail at about 17 MiB
+            (21, 0.75, 22),
+        ]
+        for n, alpha, bound_mib in cases:
+            sm = sample(CubeShape(n), PercModel.bond(n**-alpha), 0)
+            tracemalloc.start()
+            try:
+                components(sm)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib << 20, (n, alpha, peak / 2**20)
 
     def test_giant_mask_empty_without_vertices(self):
         sm = sample(CubeShape(4), PercModel.site(0.0), 0)
