@@ -46,6 +46,10 @@ class CubeShape:
     def edge_count(self) -> int:
         return self.n << (self.n - 1)
 
+    def check_vertex(self, v: int) -> None:
+        if not 0 <= v < 1 << self.n:
+            raise ValueError(f"vertex {v} is outside the cube [0, 2^{self.n})")
+
 
 def hamming(u: int, v: int) -> int:
     return (u ^ v).bit_count()
@@ -67,8 +71,11 @@ def edge_index(shape: CubeShape, u: int, v: int) -> int:
     """Linear index coord * 2^(n-1) + compress(base, coord) of the edge
     joining u and v: coord is the coordinate they differ in, base the
     endpoint with that bit clear, and compress deletes bit coord from
-    base, shifting the higher bits down.  Raises NotAdjacent unless u
-    and v differ in exactly one coordinate."""
+    base, shifting the higher bits down.  Raises ValueError for a vertex
+    outside the cube and NotAdjacent unless u and v differ in exactly
+    one coordinate."""
+    shape.check_vertex(u)
+    shape.check_vertex(v)
     d = u ^ v
     if d == 0 or d & (d - 1):
         raise NotAdjacent(f"vertices {u} and {v} differ in {d.bit_count()} coordinates")

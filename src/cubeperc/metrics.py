@@ -344,20 +344,21 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     one of them, and ids are numbered window by window, so a window's
     ids from the level below form one contiguous range [c0, c1): its
     contracted graph has c1 - c0 nodes, labelled by one scipy call, and
-    its new ids follow those of the windows before it.  Vertices keep
-    their block ids; one block-id-long map to the current id is
-    rewritten in place, window by window.  A level's graph holds only
-    its own coordinates' edges between one window's components, never
-    the contracted graph of every high edge at once.
+    its new ids, which follow those of the windows before it, overwrite
+    the window's ids in place.  A level's graph holds only its own
+    coordinates' edges between one window's components, never the
+    contracted graph of every high edge at once.
 
-    The tail works in place on the ids, one chunk of _CHUNK vertices at
-    a time: it composes them to the final ids, counts sizes per id and
-    names each id by its smallest vertex, chunks from the last down, then
-    turns the ids into the labels.  A bond sample's labels are the only
+    scipy numbers a graph's components in the order of their smallest
+    node, so at every level the ids ascend with their components'
+    smallest vertices and the final ids are already in label order;
+    scipy does not document that order, so a RuntimeError guards it.
+    The tail counts sizes per id and names each id by its smallest
+    vertex, one chunk of _CHUNK vertices at a time, then turns the ids
+    into the labels in place.  A bond sample's labels are the only
     nv-long array allocated.  At n = 24, alpha = 0.75 the traced peak
-    is 143 MiB (249 MiB with one whole-cube pass of the high edges): the
-    64 MiB ids, the 19 MiB block-id map and scipy's call on the top
-    level's 2.4 M-node graph.
+    is 124 MiB (249 MiB with one whole-cube pass of the high edges):
+    the 64 MiB ids and scipy's call on the top level's 2.4 M-node graph.
     """
     n, nv = sample.shape.n, sample.shape.vertex_count
     # a bond sample has every vertex, so it skips the presence array
@@ -368,33 +369,29 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     # does not multiply the scipy calls
     size = min(1 << max(_BLOCK_BITS, 16), nv)
     raw = np.empty(nv, dtype=np.int32)
-    # first block id of each level-0 window, and the end
-    blocks = [0]
+    # firsts[j] is the first id of the window that starts at level-0
+    # window j, and firsts[-1] the number of ids
+    firsts = [0]
     for start in range(0, nv, size):
         graph = _csr(sample.open_edge_endpoints(low, start, size), size)
         k, window = connected_components(graph, directed=False)
-        np.add(window, blocks[-1], out=raw[start : start + size])
-        blocks.append(blocks[-1] + k)
-    ncomp = blocks[-1]
-    # cur maps block ids to current ids; firsts[j] is the first current
-    # id of the window that starts at level-0 window j
-    cur = np.arange(ncomp, dtype=np.int32)
-    firsts = list(blocks)
+        np.add(window, firsts[-1], out=raw[start : start + size])
+        firsts.append(firsts[-1] + k)
+    ncomp = firsts[-1]
     for lo in range(_BLOCK_BITS, n, _LEVEL_BITS):
         coords = range(lo, min(lo + _LEVEL_BITS, n))
         width = min(1 << max(coords[-1] + 1, 16), nv)
         step = width // size
         ncomp = 0
-        for j in range(0, len(blocks) - 1, step):
+        for j in range(0, len(firsts) - 1, step):
             start = j * size
             c0, c1 = firsts[j], firsts[j + step]
             ids = raw[start : start + width]
             edges = sample.open_edge_endpoints(coords, start, width)
-            contracted = ((cur[ids[a]] - c0, cur[ids[b]] - c0) for a, b in edges)
+            contracted = ((ids[a] - c0, ids[b] - c0) for a, b in edges)
             k, lab = connected_components(_csr(contracted, c1 - c0), directed=False)
-            # the window's block ids map onto [c0, c1)
             lab += ncomp
-            _take_in_place(lab, cur[blocks[j] : blocks[j + step]], c0)
+            _take_in_place(lab, ids, c0)
             firsts[j] = ncomp
             ncomp += k
         firsts[-1] = ncomp
@@ -404,24 +401,18 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     # Reversed assignment, chunks from the last down, leaves each id's
     # first (smallest) vertex, so every component is named by its
     # smallest vertex
-    sizes = np.zeros(ncomp, dtype=np.int64)
+    comp_sizes = np.zeros(ncomp, dtype=np.int64)
     canon = np.empty(ncomp, dtype=np.int32)
     for start in range((nv - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
         ids = raw[start : start + _CHUNK]
-        _take_in_place(cur, ids)
-        np.add.at(sizes, ids[present[start : start + _CHUNK]] if site else ids, 1)
+        np.add.at(comp_sizes, ids[present[start : start + _CHUNK]] if site else ids, 1)
         canon[ids[::-1]] = np.arange(start + len(ids) - 1, start - 1, -1, dtype=np.int32)
-    del cur
+    if not (canon[1:] > canon[:-1]).all():
+        raise RuntimeError("connected_components did not number components by smallest node")
     _take_in_place(canon, raw)
     if site:
         raw[~present] = -1
-    # label order, dropping each id-long array once it is read
-    order = np.argsort(canon)
-    comp_sizes = sizes[order]
-    del sizes
-    comp_ids = canon[order]
-    del canon, order
-    comp_ids = comp_ids.astype(np.int64)
+    comp_ids = canon.astype(np.int64)
     if site:
         keep = comp_sizes > 0
         comp_ids, comp_sizes = comp_ids[keep], comp_sizes[keep]

@@ -203,19 +203,17 @@ class PercolationSample:
     def _edge_draw(self, idx: int) -> bool:
         return bool((self._edge_bits[idx >> 3] >> (idx & 7)) & 1)
 
-    def _vertex_draw(self, v: int) -> bool:
+    def vertex_present(self, v: int) -> bool:
+        self.shape.check_vertex(v)
         if not self.model.has_site_draws:
             return True
         return bool((self._vertex_bits[v >> 3] >> (v & 7)) & 1)
 
-    def vertex_present(self, v: int) -> bool:
-        return self._vertex_draw(v)
-
     def edge_open(self, u: int, v: int) -> bool:
-        # edge_index raises NotAdjacent when it must
+        # edge_index raises ValueError or NotAdjacent when it must
         if not self._edge_draw(edge_index(self.shape, u, v)):
             return False
-        return self._vertex_draw(u) and self._vertex_draw(v)
+        return self.vertex_present(u) and self.vertex_present(v)
 
     # -- bulk views ----------------------------------------------------
 

@@ -105,6 +105,14 @@ def test_edge_between_rejects_non_adjacent():
         edge_index(CubeShape(3), 5, 5)
 
 
+@pytest.mark.parametrize("u, v", [(8, 9), (-1, -2), (0, 8), (8, 0)])
+def test_edge_index_rejects_vertices_outside_the_cube(u, v):
+    # unchecked, (8, 9) named the coordinate-1 edge 4 and (-1, -2) the
+    # index -1
+    with pytest.raises(ValueError, match=r"vertex -?\d+ is outside the cube \[0, 2\^3\)"):
+        edge_index(CubeShape(3), u, v)
+
+
 class TestMakePartition:
     def test_n10_quarter(self):
         part = make_partition(CubeShape(10), 0.25)

@@ -73,6 +73,12 @@ def test_bfs_rejects_absent_source():
         bfs(sm, 0)
 
 
+def test_bfs_rejects_source_outside_the_cube():
+    sm = sample(CubeShape(3), PercModel.bond(0.5), 0)
+    with pytest.raises(ValueError, match=r"vertex 100 is outside the cube"):
+        bfs(sm, 100)
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @settings(max_examples=30, deadline=None)
 @given(perc_case)
@@ -342,16 +348,37 @@ class TestComponents:
         assert h.hexdigest() == "496923cb6f6118323ee1ec879e84084a043d42b23daa09f5314b43ff1acd8b30"
         assert (lab.giant_label, lab.giant_size, lab.n_components) == (0, 877491, 135812)
 
+    def test_ids_out_of_smallest_vertex_order_raise(self, monkeypatch):
+        # the final ids are taken as label order because scipy numbers
+        # a graph's components by their smallest node; a call that
+        # numbers them otherwise must raise, not return wrong labels
+        real = metrics.connected_components
+        calls = []
+
+        def reversed_once(graph, directed):
+            k, lab = real(graph, directed=directed)
+            calls.append(k)
+            return (k, k - 1 - lab) if len(calls) == 1 else (k, lab)
+
+        monkeypatch.setattr(metrics, "connected_components", reversed_once)
+        monkeypatch.setattr(metrics, "_BLOCK_BITS", 2)
+        sm = sample(CubeShape(5), PercModel.bond(0.0), 0)
+        with pytest.raises(RuntimeError, match="smallest node"):
+            components(sm)
+        assert len(calls) > 1 and calls[0] == 32
+
     def test_labelling_memory_bounded(self):
         cases = [
             # a whole-cube graph of the low edges, or an nv-long int64
             # size count, takes the traced peak past 100 MiB; one
             # whole-cube pass of the high edges held 34 MiB, the levels
-            # and the in-place tail about 21 MiB
+            # about 21 MiB (scipy's call on the top level's edges, with
+            # or without a block-id map)
             (20, 0.25, 64),
             # many components: the whole-cube pass of the high edges and
-            # the nv-long tail arrays peaked at 28 MiB, the levels and
-            # the in-place tail at about 17 MiB
+            # the nv-long tail arrays peaked at 28 MiB, the levels with a
+            # block-id map at 17 MiB, the levels on the ids alone at
+            # about 15 MiB
             (21, 0.75, 22),
         ]
         for n, alpha, bound_mib in cases:

@@ -102,6 +102,20 @@ def test_edge_open_rejects_equal_vertices():
         sm.edge_open(5, 5)
 
 
+def test_vertex_queries_reject_vertices_outside_the_cube():
+    # unchecked, a site sample read vertex 7's bit for -1, a bond sample
+    # called vertex 100 present and edge_open(8, 9) read edge 4's draw
+    site = sample(CubeShape(3), PercModel.site(0.5), 0)
+    bond = sample(CubeShape(3), PercModel.bond(0.5), 0)
+    outside = r"vertex (-1|8|100) is outside the cube \[0, 2\^3\)"
+    with pytest.raises(ValueError, match=outside):
+        site.vertex_present(-1)
+    with pytest.raises(ValueError, match=outside):
+        bond.vertex_present(100)
+    with pytest.raises(ValueError, match=outside):
+        bond.edge_open(8, 9)
+
+
 @pytest.mark.parametrize(
     "model",
     [PercModel.bond(0.4), PercModel.site(0.6), PercModel.mixed(0.7, 0.6)],
@@ -132,7 +146,7 @@ def _draws_at(sm, k: int) -> bool:
     ne = sm.shape.edge_count
     if k < ne:
         return sm._edge_draw(k)
-    return sm._vertex_draw(k - ne)
+    return sm.vertex_present(k - ne)
 
 
 def _chunk_edges(count: int) -> list[int]:
