@@ -1,13 +1,15 @@
 """Graph metrics over percolation samples: BFS distances, connected
 components, and metric distortion of vertex maps.
 
-Open-graph distances come from one word-parallel multi-source BFS over
-the open-neighbour masks, `_bfs_levels`: `bfs` runs it from one source,
-`_distances` from many (the exact evaluator, the brute-force search and
-`cycles.image_walk`), and `_pair_distances` from 64 pair starts at a
-time (the sampled contraction side).  `bounded_distance` is the scalar
-search for single pairs with a cutoff.  Components come from scipy's
-`connected_components`.
+Open-graph distances come from two BFS kernels over the open-neighbour
+masks.  `_bfs_bits` holds one search as one bit per vertex: `bfs` runs
+it, and `evaluate_distortion` asks it whether every image is reachable
+from the first.  `_bfs_levels` runs many searches as the bits of uint64
+words per vertex: `_distances` from many sources (the exact evaluator,
+the brute-force search and `cycles.image_walk`) and `_pair_distances`
+from 64 pair starts at a time (the sampled contraction side).
+`bounded_distance` is the scalar search for single pairs with a cutoff.
+Components come from scipy's `connected_components`.
 
 Distortion here is the non-symmetric kind: for f mapping the full cube
 into a sample, D+ is the worst stretch max(1, sup d_Y/d_X) and, because
@@ -67,10 +69,10 @@ def _csr(edges, size: int) -> csr_matrix:
 # a level whose frontier holds fewer than this share of the cube's
 # vertices expands those vertices alone (the sparse step); a larger one
 # sweeps the whole cube along every coordinate (the dense step).  64-pair
-# batches took the same time from 1/16 to 1/4 and up to 22 % longer at
-# 1/32 or 1/2 (n = 16 at p = 0.97 and 0.5, n = 20 at p = 0.86), and at
-# 1/16 a single-source search at n = 12, p = 0.155 took 3.0 ms against
-# 1.9 ms
+# batches of `_bfs_levels` took the same time from 1/16 to 1/4 and up to
+# 22 % longer at 1/32 or 1/2 (n = 16 at p = 0.97 and 0.5, n = 20 at
+# p = 0.86).  `_bfs_bits` takes this share of its own measure of a dense
+# level, in frontier rows
 _SPARSE_SHARE = 1 / 8
 
 
@@ -179,12 +181,98 @@ def _distances(sample: PercolationSample, sources) -> np.ndarray:
     return dist[0] if scalar else dist
 
 
+# bit b of a uint64 word is vertex 64 w + b, so the edges along a
+# coordinate c < 6 join bits of one word: _IN_WORD[c] holds the bits with
+# bit c of their position clear, the lower ends of those edges
+_IN_WORD = [np.uint64(sum(1 << b for b in range(64) if not b >> c & 1)) for c in range(6)]
+
+
+def _bfs_bits(sample: PercolationSample, source: int):
+    """Single-source BFS over the open-neighbour masks, one level at a
+    time, holding the search as one bit per vertex.
+
+    Yields (level, rows) from level 0, the source, until the search
+    reaches no new vertex: rows are the vertices first reached at this
+    level, in ascending order.  The frontier and the unvisited vertices
+    are bitsets of ceil(nv / 64) uint64 words (one padded word when
+    n < 6), vertex v at bit v % 64 of word v // 64.
+
+    Each level picks its step by the size of its frontier, as
+    `_bfs_levels` does.  The dense step moves the frontier, ANDed with
+    coordinate c's open bits, across c for every c and ORs it into the
+    next frontier: for c >= 6 by swapping the halves of the middle axis
+    of the words viewed as (nw / 2^(c-5), 2, 2^(c-6)), for c < 6 by
+    shifting each word 2^c bits either way under the constant mask
+    _IN_WORD[c].  The open bits are packed once per call, on the first
+    dense level.  The sparse step, taken while the frontier has fewer
+    than _SPARSE_SHARE of nv / 32 + 2048 rows, sets the bits of the
+    frontier rows' open neighbours alone.  Either way the new rows are
+    read from the nonzero words of the next frontier only.
+    """
+    n, nv = sample.shape.n, sample.shape.vertex_count
+    masks = sample.open_neighbor_masks_array()
+    one = np.uint64(1)
+    frontier = np.zeros(-(-nv // 64), dtype=np.uint64)
+    frontier[source >> 6] = one << np.uint64(source & 63)
+    unvisited = ~frontier
+    nxt = np.empty_like(frontier)
+    flips = np.left_shift(1, np.arange(n))
+    opens = None
+    rows = np.array([source])
+    level = 0
+    while len(rows):
+        yield level, rows
+        level += 1
+        nxt.fill(0)
+        # a dense level sweeps nv / 64 words per coordinate on top of a
+        # fixed cost of about 50 numpy calls: single steps at n = 8-20
+        # broke even with the sparse step at about 256 + nv / 256 rows.
+        # Half or twice this bound took the same time within 10 %; 1/8
+        # of nv, as in `_bfs_levels`, took a search at n = 16, alpha =
+        # 0.01 from 4.7 to 15.2 ms and at n = 20 from 58 to 434 ms, and
+        # one at n = 12, alpha = 0.75 from 2.03 to 1.85 ms
+        if len(rows) < _SPARSE_SHARE * (nv / 32 + 2048):
+            # every open edge out of the frontier; two rows may share a
+            # neighbour, and OR sets its bit once
+            out = masks[rows]
+            bits = np.unpackbits(out.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
+            ends = (rows[:, None] ^ flips)[bits.view(bool)]
+            np.bitwise_or.at(nxt, ends >> 6, one << (ends & 63).astype(np.uint64))
+        else:
+            if opens is None:
+                # bit v of row c: the edge along c at v is open (so the
+                # same bit at v ^ 2^c); zero past the cube's nv bits
+                packed = np.zeros((n, 8 * len(frontier)), dtype=np.uint8)
+                for k in range(-(-n // 8)):
+                    # byte k of every mask, contiguous: the bits of
+                    # coordinates 8k to 8k + 7
+                    col = np.ascontiguousarray(masks.view(np.uint8)[k::4])
+                    for c in range(8 * k, min(8 * k + 8, n)):
+                        bit = np.uint8(1 << (c & 7))
+                        packed[c, : -(-nv // 8)] = np.packbits(col & bit, bitorder="little")
+                opens = packed.view(np.uint64)
+            for c in range(n):
+                moved = frontier & opens[c]
+                if c < 6:
+                    shift, low = np.uint64(1 << c), _IN_WORD[c]
+                    nxt |= (moved >> shift) & low | (moved & low) << shift
+                else:
+                    shape = (len(frontier) >> (c - 5), 2, 1 << (c - 6))
+                    halves = nxt.reshape(shape)
+                    np.bitwise_or(halves, moved.reshape(shape)[:, ::-1], out=halves)
+        nxt &= unvisited
+        unvisited ^= nxt
+        live = np.flatnonzero(nxt)
+        at = np.flatnonzero(np.unpackbits(nxt[live].view(np.uint8), bitorder="little").view(bool))
+        rows = live[at >> 6] << 6 | at & 63
+        frontier, nxt = nxt, frontier
+
+
 def bfs(sample: PercolationSample, source: int) -> DistanceField:
     if not sample.vertex_present(source):
         raise SourceAbsent(f"vertex {source} is not present in the sample")
-    # a single search reaches every row of its level
     dist = np.full(sample.shape.vertex_count, -1, dtype=np.int32)
-    for level, rows, _ in _bfs_levels(sample, [source]):
+    for level, rows in _bfs_bits(sample, source):
         dist[rows] = level
     return DistanceField(source, dist)
 
@@ -196,7 +284,10 @@ def bounded_distance(
     cutoff: Optional[int] = None,
 ) -> Optional[int]:
     """Open-graph distance between u and v, or None when it exceeds the
-    cutoff (or no path exists).  Bidirectional ball growing."""
+    cutoff (or no path exists).  Bidirectional ball growing.  An end
+    outside the cube raises ValueError, also when u == v."""
+    sample.shape.check_vertex(u)
+    sample.shape.check_vertex(v)
     if u == v:
         return 0
     masks = sample.open_neighbor_masks_array()
@@ -453,18 +544,6 @@ class DistortionReport:
     infinite: bool = False
 
 
-def _disconnection_witness(labeling: ComponentLabeling, images: np.ndarray):
-    """A pair of source vertices whose images live in different components,
-    or None when all images share one component."""
-    labs = labeling.labels[images]
-    first = labs[0]
-    bad = np.nonzero(labs != first)[0]
-    if len(bad) == 0 and first >= 0:
-        return None
-    other = int(bad[0]) if len(bad) else 0
-    return (0, other)
-
-
 def evaluate_distortion(
     sample: PercolationSample,
     vmap: VertexMap,
@@ -491,8 +570,13 @@ def evaluate_distortion(
     BFS, giving a valid lower bound on D; pair_count must be positive.
     The stretch scan starts at -1 in exact mode, so its first edge is a
     witness even when every d_Y is 0, and at 0 in sampled mode, which
-    then names no stretch witness.  Images straddling components give an
-    infinite report.
+    then names no stretch witness.
+
+    An image outside the cube or absent from the sample raises
+    ValueError.  Then one `bfs` from img[0] decides connectivity: every
+    image is present, so an image it does not reach lies in another
+    component, and the report is infinite with the witness (0, the first
+    source vertex whose image is unreached).
     """
     n = sample.shape.n
     nv = sample.shape.vertex_count
@@ -505,13 +589,18 @@ def evaluate_distortion(
         raise ValueError(f"sampled mode needs a positive pair_count, got {pair_count}")
     if mode == "exact" and n > EXACT_CAP_DEFAULT:
         raise CapExceeded(f"exact mode capped at n={EXACT_CAP_DEFAULT}, got n={n}")
+    outside = (img < 0) | (img >= nv)
+    if outside.any():
+        v = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"image {img[v]} of vertex {v} is outside the cube [0, 2^{n})")
     present = sample.present_array()
     if not present[img].all():
         missing = int(np.nonzero(~present[img])[0][0])
         raise ValueError(f"image of vertex {missing} is not present in the sample")
 
-    witness = _disconnection_witness(components(sample), img)
-    if witness is not None:
+    unreached = np.flatnonzero(bfs(sample, int(img[0])).dist[img] < 0)
+    if len(unreached):
+        witness = (0, int(unreached[0]))
         return DistortionReport(math.inf, 0.0, math.inf, witness, None, mode, None, infinite=True)
 
     if mode == "exact":

@@ -59,6 +59,7 @@ def local_route(
     on it whether the level completes or not."""
     if not sample.vertex_present(x):
         raise SourceAbsent(f"route start {x} is not present")
+    sample.shape.check_vertex(y)
     n = sample.shape.n
     events: list[tuple] = []
     if x == y:

@@ -221,6 +221,50 @@ def oracle_sampled_distortion(sm, vmap, pair_count: int, seed: int) -> Distortio
     )
 
 
+def labelling_witness(sm, images):
+    """The disconnection witness that the reachability check of
+    `evaluate_distortion` replaced, from a whole labelling (scipy's, one
+    call): (0, the first source whose image's label differs from that of
+    images[0]), or None when every image shares one component."""
+    labels = one_call_labels(sm)[images]
+    other = np.flatnonzero(labels != labels[0])
+    return (0, int(other[0])) if len(other) else None
+
+
+def oracle_exact_distortion(sm, vmap) -> DistortionReport:
+    """Exact distortion of a map whose images share one component: d_Y
+    from `scipy_distances`, every cube edge (coordinate by coordinate,
+    lower end ascending) and every pair a < b (a, then b ascending) in
+    one array each; the first maximum and the first minimum are the
+    witnesses."""
+    n, nv = sm.shape.n, sm.shape.vertex_count
+    img = vmap.image
+    dist = scipy_distances(sm, img)
+    lo = np.concatenate([np.flatnonzero((np.arange(nv) >> c & 1) == 0) for c in range(n)])
+    hi = lo | np.repeat(1 << np.arange(n), nv // 2)
+    stretch = dist[lo, img[hi]]
+    a, b = np.triu_indices(nv, 1)
+    ratios = np.maximum(dist[a, img[b]], 1.0) / np.bitwise_count(a ^ b)
+    kp, km = int(np.argmax(stretch)), int(np.argmin(ratios))
+    d_plus, d_minus = max(1.0, float(stretch[kp])), float(ratios[km])
+    return DistortionReport(
+        d_plus, d_minus, d_plus / d_minus, (int(lo[kp]), int(hi[kp])), (int(a[km]), int(b[km])),
+        "exact", None,
+    )
+
+
+def oracle_distortion(sm, vmap, mode: str, pair_count: int = 64, seed: int = 0) -> DistortionReport:
+    """The whole report of `evaluate_distortion`: infinite, with the
+    labelling witness, when the images straddle components, otherwise
+    the exact or the sampled oracle."""
+    witness = labelling_witness(sm, vmap.image)
+    if witness is not None:
+        return DistortionReport(math.inf, 0.0, math.inf, witness, None, mode, None, True)
+    if mode == "exact":
+        return oracle_exact_distortion(sm, vmap)
+    return oracle_sampled_distortion(sm, vmap, pair_count, seed)
+
+
 def oracle_is_good(sm, v: int, partition) -> bool:
     """Goodness from the definition, one edge query at a time: v is good
     when at least 2m vertices v ^ 2^a1 ^ 2^a2 (a1 != a2 in A) end an

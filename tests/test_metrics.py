@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     MODEL_KINDS,
+    labelling_witness,
     one_call_labels,
     oracle_bfs,
     oracle_components,
+    oracle_distortion,
     oracle_min_distortion,
     oracle_sampled_distortion,
     perc_model,
@@ -38,10 +41,10 @@ perc_case = st.tuples(
     st.integers(2, 6), st.floats(0.1, 0.9), st.integers(0, 2**32)
 )
 
-# the BFS kernel's step modes, forced through the share of the cube
-# below which a level takes the sparse step: never, always, and the
-# default switch between the two
-STEP_SHARES = {"dense": 0.0, "sparse": 2.0, "switched": metrics._SPARSE_SHARE}
+# the BFS kernels' step modes, forced through the share below which a
+# level takes the sparse step: never, always (an infinite share, since
+# `_bfs_bits` scales it), and the default switch between the two
+STEP_SHARES = {"dense": 0.0, "sparse": math.inf, "switched": metrics._SPARSE_SHARE}
 
 
 def test_bfs_full_cube_is_hamming(full4):
@@ -120,6 +123,14 @@ def test_bounded_distance_absent_ends():
             assert bounded_distance(sm, u, v) == want.get(v)
 
 
+@pytest.mark.parametrize("u, v", [(3, -1), (3, 16), (-1, 3), (16, 3), (-1, -1), (16, 16)])
+def test_bounded_distance_rejects_vertices_outside_the_cube(u, v):
+    # checked before the u == v shortcut, so (16, 16) is not 0
+    sm = sample(CubeShape(4), PercModel.bond(0.9), 3)
+    with pytest.raises(ValueError, match=r"outside the cube \[0, 2\^4\)"):
+        bounded_distance(sm, u, v)
+
+
 def test_bounded_distance_cutoff(full4):
     assert bounded_distance(full4, 0, 15, cutoff=3) is None
     assert bounded_distance(full4, 0, 15, cutoff=4) == 4
@@ -181,6 +192,34 @@ class TestDistances:
         assert got[0].tolist() == position.astype(float).tolist()
         assert got[1].tolist() == (nv - 1 - position).astype(float).tolist()
         self.assert_matches_scipy(sm, ends, "gray path")
+        assert bfs(sm, ends[0]).dist.tolist() == position.tolist()
+        assert bfs(sm, ends[1]).dist.tolist() == (nv - 1 - position).tolist()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_bfs_matches_oracle_and_rows(self, kind):
+        # the single-source kernel against the dict BFS and the
+        # multi-source kernel's row, in each step mode: every present
+        # source up to n = 8 and eight beyond it; n <= 5 holds the search
+        # in one padded word, and n = 6, 7 take the first word swaps
+        for n in range(1, 13):
+            nv = 1 << n
+            for p in (0.3, 0.8):
+                sm = sample(CubeShape(n), perc_model(kind, p), n)
+                present = np.flatnonzero(sm.present_array())
+                if n > 8:
+                    rng = np.random.default_rng(n)
+                    present = rng.choice(present, min(8, len(present)), replace=False)
+                rows = metrics._distances(sm, present)
+                for source, row in zip(present.tolist(), rows):
+                    want = oracle_bfs(sm, source)
+                    expect = np.array([want.get(v, -1) for v in range(nv)], dtype=np.int32)
+                    assert np.array_equal(np.where(row < np.inf, row, -1), expect), (n, p, source)
+                    for step, share in STEP_SHARES.items():
+                        with pytest.MonkeyPatch.context() as mp:
+                            mp.setattr(metrics, "_SPARSE_SHARE", share)
+                            field = bfs(sm, source)
+                        assert field.dist.dtype == np.int32
+                        assert field.dist.tobytes() == expect.tobytes(), (n, p, source, step)
 
 
 class TestPairDistances:
@@ -483,6 +522,52 @@ class TestEvaluateDistortion:
             pytest.skip("seed leaves every vertex present")
         with pytest.raises(ValueError):
             evaluate_distortion(sm, VertexMap(np.full(8, absent[0])))
+
+    @pytest.mark.parametrize("source, image", [(0, -1), (0, 16), (5, 16), (15, -2**40)])
+    def test_image_outside_the_cube_raises(self, source, image):
+        # named before the presence check, which would read a negative
+        # image as a vertex counted from the end
+        sm = sample(CubeShape(4), PercModel.bond(0.9), 3)
+        img = np.arange(16)
+        img[source] = image
+        for mode in ("exact", "sampled"):
+            want = rf"^image {image} of vertex {source} is outside the cube \[0, 2\^4\)$"
+            with pytest.raises(ValueError, match=want):
+                evaluate_distortion(sm, VertexMap(img), mode)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_reports_match_labelling_oracle(self, kind):
+        # whole reports, exact and sampled, against the labelling witness
+        # and the distance oracles: maps onto random present vertices
+        # (mostly straddling components at p = 0.3), into the giant, into
+        # the giant but for one source sent off it, and with vertex 0's
+        # image off the giant
+        seen = set()
+        for n in range(2, 11):
+            nv = 1 << n
+            for p in (0.3, 0.8):
+                sm = sample(CubeShape(n), perc_model(kind, p), n)
+                lab = components(sm)
+                present = np.flatnonzero(sm.present_array())
+                if not len(present):
+                    continue
+                giant = np.flatnonzero(lab.giant_mask())
+                rng = np.random.default_rng(n)
+                maps = [rng.choice(present, nv), rng.choice(giant, nv)]
+                off = np.setdiff1d(present, giant)
+                if len(off):
+                    one_off = rng.choice(giant, nv)
+                    one_off[rng.integers(1, nv)] = rng.choice(off)
+                    first_off = rng.choice(giant, nv)
+                    first_off[0] = rng.choice(off)
+                    maps += [one_off, first_off]
+                for img in maps:
+                    vmap = VertexMap(img)
+                    seen.add(labelling_witness(sm, img) is None)
+                    for mode in ("exact", "sampled"):
+                        got = evaluate_distortion(sm, vmap, mode, pair_count=100, seed=n)
+                        assert got == oracle_distortion(sm, vmap, mode, 100, n), (n, p, mode)
+        assert seen == {True, False}
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32), st.data())

@@ -80,6 +80,13 @@ def test_absent_start_raises():
         local_route(sm, 0, 15, 4, BIG)
 
 
+@pytest.mark.parametrize("y", [-1, 16])
+def test_target_outside_the_cube_raises(y):
+    sm = sample(CubeShape(4), PercModel.bond(0.9), 3)
+    with pytest.raises(ValueError, match=r"outside the cube \[0, 2\^4\)"):
+        local_route(sm, 3, y, 8, 1000)
+
+
 def test_query_budget_exhausts():
     sm = sample(CubeShape(6), PercModel.bond(1.0), 0)
     tr = local_route(sm, 0, 63, 6, 3)
