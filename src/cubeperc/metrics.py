@@ -1,14 +1,14 @@
 """Graph metrics over percolation samples: BFS distances, connected
 components, and metric distortion of vertex maps.
 
-Open-graph distances come from two BFS kernels over the open-neighbour
-masks.  `_bfs_bits` holds one search as one bit per vertex: `bfs` runs
-it, and `evaluate_distortion` asks it whether every image is reachable
-from the first.  `_bfs_levels` runs many searches as the bits of uint64
-words per vertex: `_distances` from many sources (the exact evaluator,
-the brute-force search and `cycles.image_walk`) and `_pair_distances`
-from 64 pair starts at a time (the sampled contraction side).
-`bounded_distance` is the scalar search for single pairs with a cutoff.
+Open-graph distances come from one BFS kernel over the open-neighbour
+masks, `_bfs_bits`, which runs k searches at once, each as one bit per
+vertex.  `bfs` runs it from one source, and `evaluate_distortion` asks
+`bfs` whether every image is reachable from the first; `_distances`
+runs it from many sources (the exact evaluator, the brute-force search
+and `cycles.image_walk`) and `_pair_distances` from 64 pair starts at a
+time (the sampled contraction side).  `bounded_distance` is the scalar
+search for single pairs with a cutoff.
 Components come from scipy's `connected_components`.
 
 Distortion here is the non-symmetric kind: for f mapping the full cube
@@ -47,6 +47,9 @@ class DistanceField:
     dist: np.ndarray
 
     def distance(self, v: int) -> Optional[int]:
+        """The distance to v, None if unreached; a v outside the cube
+        raises ValueError."""
+        CubeShape(len(self.dist).bit_length() - 1).check_vertex(v)
         d = int(self.dist[v])
         return None if d < 0 else d
 
@@ -66,120 +69,16 @@ def _csr(edges, size: int) -> csr_matrix:
     return coo_matrix((np.ones(len(row), dtype=np.float64), (row, col)), shape=(size, size)).tocsr()
 
 
-# a level whose frontier holds fewer than this share of the cube's
-# vertices expands those vertices alone (the sparse step); a larger one
-# sweeps the whole cube along every coordinate (the dense step).  64-pair
-# batches of `_bfs_levels` took the same time from 1/16 to 1/4 and up to
-# 22 % longer at 1/32 or 1/2 (n = 16 at p = 0.97 and 0.5, n = 20 at
-# p = 0.86).  `_bfs_bits` takes this share of its own measure of a dense
-# level, in frontier rows
+# a level of k searches over nw words each moves only the nonzero words
+# of its frontier (the sparse step) while they number fewer than this
+# share of k nw + 4096; a larger level moves every word (the dense step).
+# Forcing one step on every level of bond searches at p = n^-alpha put
+# the break-even at 450 of 1024 words for one search at n = 16, 1.8 K of
+# 16 K at n = 20, 1.2 K of 4 K for 64 searches at n = 12, 7.3 K of 64 K
+# at n = 16, 18 K of 128 K for 8 searches at n = 20 and 53 K of 256 K for
+# all 4096 sources at n = 12: near an eighth of the words, plus the
+# dense step's fixed calls at small k nw
 _SPARSE_SHARE = 1 / 8
-
-
-def _bfs_levels(sample: PercolationSample, sources):
-    """Multi-source BFS over the open-neighbour masks, one level at a time.
-
-    Multi-source BFS (Then et al., VLDB 2014): the search from
-    sources[i] is bit i % 64 of word i // 64 in each vertex's row of an
-    (nv, ceil(k / 64)) uint64 array, so all k searches advance one level
-    per step.  Yields (level, rows, reached) from level 0, the sources,
-    until no search reaches a new vertex: rows are the vertices, in
-    ascending order, where some search first arrives at this level, and
-    reached is the word array with the bits of exactly those searches
-    set, zero elsewhere.  The next level overwrites reached.
-
-    Each level picks its step by the size of its frontier, as
-    direction-optimizing BFS does (Beamer et al., SC 2012).  The dense
-    step sweeps the cube once per coordinate c: the word array viewed as
-    (2^(n-c-1), 2, 2^c, words) holds each edge's two ends across its
-    middle axis, so swapping that axis's halves and multiplying by the
-    edge's open bit ORs every vertex's words into its neighbour across
-    c.  The sparse step, taken while the frontier has fewer than
-    _SPARSE_SHARE of the cube's vertices, ORs only the frontier rows into
-    their open neighbours.
-    """
-    n, nv = sample.shape.n, sample.shape.vertex_count
-    masks = sample.open_neighbor_masks_array()
-    sources = np.asarray(sources, dtype=np.int64)
-    k = len(sources)
-    idx = np.arange(k)
-    frontier = np.zeros((nv, -(-k // 64)), dtype=np.uint64)
-    np.bitwise_or.at(frontier, (sources, idx >> 6), np.uint64(1) << (idx & 63).astype(np.uint64))
-    unvisited = ~frontier
-    nxt = np.empty_like(frontier)
-    flips = np.left_shift(1, np.arange(n))
-    opens = moved = None
-    rows = np.unique(sources)
-    level = 0
-    while len(rows):
-        yield level, rows, frontier
-        level += 1
-        nxt.fill(0)
-        if len(rows) < _SPARSE_SHARE * nv:
-            # every open edge out of the frontier, row by row (bit c of a
-            # little-endian mask is column c of its unpacked bytes); two
-            # rows may share a neighbour, hence the unbuffered OR
-            out = masks[rows]
-            bits = np.unpackbits(out.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
-            ends = (rows[:, None] ^ flips)[bits.view(bool)]
-            np.bitwise_or.at(nxt, ends, np.repeat(frontier[rows], np.bitwise_count(out), axis=0))
-        else:
-            if opens is None:
-                # built on the first dense level: per coordinate, the
-                # view shape and the open bits broadcast over the words
-                opens = []
-                for c in range(n):
-                    shape = (nv >> (c + 1), 2, 1 << c, frontier.shape[1])
-                    opens.append((shape, (masks & flips[c]).astype(bool).reshape(*shape[:3], 1)))
-                moved = np.empty_like(frontier)
-            for shape, open_c in opens:
-                # np.bitwise_or(..., where=open_c) took 1.3-2.8x as long
-                # at n = 12-20
-                np.multiply(frontier.reshape(shape)[:, ::-1], open_c, out=moved.reshape(shape))
-                nxt |= moved
-        nxt &= unvisited
-        unvisited ^= nxt
-        # a row is reached when any of its words is; one OR per word
-        # column, since numpy reduces a short trailing axis slowly
-        any_word = nxt[:, 0]
-        for w in range(1, nxt.shape[1]):
-            any_word = any_word | nxt[:, w]
-        rows = (any_word != 0).nonzero()[0]
-        frontier, nxt = nxt, frontier
-
-
-def _distances(sample: PercolationSample, sources) -> np.ndarray:
-    """Open-graph distances from each source (a row per source, or one
-    row for a scalar source), float64 with inf for unreached.
-
-    One `_bfs_levels` run from all the sources.  Each level adds
-    level + 1 where its searches arrive to an (nv, k) array of uint8,
-    widened only if a search runs 255 levels deep, 0 meaning unreached;
-    one table lookup at the end gives the float matrix."""
-    scalar = np.ndim(sources) == 0
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    k = len(sources)
-    reach = np.zeros((sample.shape.vertex_count, k), dtype=np.uint8)
-    top = np.iinfo(reach.dtype).max
-    level = 0
-    for level, rows, reached in _bfs_levels(sample, sources):
-        if level == top:
-            reach = reach.astype(np.min_scalar_type(level + 1))
-            top = np.iinfo(reach.dtype).max
-        # bit i of a row's words is search i (little-endian words), and
-        # each search reaches each vertex at one level at most; no name
-        # holds the unpacked bits, which can be as large as reach
-        reach[rows] += (
-            np.unpackbits(reached[rows].view(np.uint8), axis=1, count=k, bitorder="little")
-            .astype(reach.dtype, copy=False) * (level + 1)
-        )
-    # a row per source, then 0 to inf and d + 1 to d by table lookup
-    reach = np.ascontiguousarray(reach.T)
-    table = np.arange(-1.0, level + 1)
-    table[0] = np.inf
-    dist = table[reach]
-    return dist[0] if scalar else dist
-
 
 # bit b of a uint64 word is vertex 64 w + b, so the edges along a
 # coordinate c < 6 join bits of one word: _IN_WORD[c] holds the bits with
@@ -187,93 +86,156 @@ def _distances(sample: PercolationSample, sources) -> np.ndarray:
 _IN_WORD = [np.uint64(sum(1 << b for b in range(64) if not b >> c & 1)) for c in range(6)]
 
 
-def _bfs_bits(sample: PercolationSample, source: int):
-    """Single-source BFS over the open-neighbour masks, one level at a
-    time, holding the search as one bit per vertex.
+def _bfs_bits(sample: PercolationSample, sources):
+    """Multi-source BFS over the open-neighbour masks, one level at a
+    time, holding each search as one bit per vertex.
 
-    Yields (level, rows) from level 0, the source, until the search
-    reaches no new vertex: rows are the vertices first reached at this
-    level, in ascending order.  The frontier and the unvisited vertices
-    are bitsets of ceil(nv / 64) uint64 words (one padded word when
-    n < 6), vertex v at bit v % 64 of word v // 64.
+    Multi-source BFS (Then et al., VLDB 2014): row i of a (k, nw) uint64
+    array, nw = ceil(nv / 64) (one padded word when n < 6), is the
+    frontier of the search from sources[i], vertex v at bit v % 64 of
+    word v // 64, so all k searches advance one level per step with the
+    same numpy calls.  Yields (level, frontier) from level 0, the
+    sources, until no search reaches a new vertex: frontier holds the
+    bits of the vertices each search first reaches at this level.  The
+    next level overwrites it.
 
+    A step moves the frontier across every coordinate c and ORs it into
+    the next frontier.  lo[c] and hi[c] hold the lower and the upper ends
+    of c's open edges, packed once per call, so the frontier ANDed with
+    lo[c] moves 2^c vertices up and ANDed with hi[c] 2^c down: by a shift
+    inside each word for c < 6, by 2^(c-6) words for c >= 6.  A search's
+    nw words hold whole aligned runs of 2^(c-5) words, so a move never
+    leaves the search's own row, and the flat k nw words move as one.
     Each level picks its step by the size of its frontier, as
-    `_bfs_levels` does.  The dense step moves the frontier, ANDed with
-    coordinate c's open bits, across c for every c and ORs it into the
-    next frontier: for c >= 6 by swapping the halves of the middle axis
-    of the words viewed as (nw / 2^(c-5), 2, 2^(c-6)), for c < 6 by
-    shifting each word 2^c bits either way under the constant mask
-    _IN_WORD[c].  The open bits are packed once per call, on the first
-    dense level.  The sparse step, taken while the frontier has fewer
-    than _SPARSE_SHARE of nv / 32 + 2048 rows, sets the bits of the
-    frontier rows' open neighbours alone.  Either way the new rows are
-    read from the nonzero words of the next frontier only.
+    direction-optimizing BFS does (Beamer et al., SC 2012): the dense
+    step moves every word with whole-array calls, one coordinate at a
+    time; the sparse step, taken while the frontier has fewer than
+    _SPARSE_SHARE of k nw + 4096 nonzero words, gathers those words and
+    their open ends and moves them along every coordinate at once.
     """
     n, nv = sample.shape.n, sample.shape.vertex_count
     masks = sample.open_neighbor_masks_array()
-    one = np.uint64(1)
-    frontier = np.zeros(-(-nv // 64), dtype=np.uint64)
-    frontier[source >> 6] = one << np.uint64(source & 63)
+    sources = np.asarray(sources, dtype=np.int64)
+    k, nw = len(sources), -(-nv // 64)
+    # bit v of row c: the edge along c at v is open (so the same bit at
+    # v ^ 2^c); zero past the cube's nv bits
+    packed = np.zeros((n, 8 * nw), dtype=np.uint8)
+    for b in range(-(-n // 8)):
+        # byte b of every mask, contiguous: the bits of coordinates 8b
+        # to 8b + 7
+        col = np.ascontiguousarray(masks.view(np.uint8)[b::4])
+        for c in range(8 * b, min(8 * b + 8, n)):
+            packed[c, : -(-nv // 8)] = np.packbits(col & np.uint8(1 << (c & 7)), bitorder="little")
+    # ends[0, c] and ends[1, c]: the lower and the upper ends of c's open
+    # edges
+    ends = np.empty((2, n, nw), dtype=np.uint64)
+    lo, hi = ends
+    lo[:] = hi[:] = packed.view(np.uint64)
+    for c in range(n):
+        if c < 6:
+            lo[c] &= _IN_WORD[c]
+        else:
+            lo[c].reshape(-1, 2, 1 << (c - 6))[:, 1] = 0
+    hi ^= lo
+    # both ends at once, for the coordinates whose halves the dense step
+    # swaps whole
+    both = lo[10:] | hi[10:]
+    shifts = np.left_shift(np.uint64(1), np.arange(min(n, 6), dtype=np.uint64))[:, None]
+    jumps = np.left_shift(1, np.arange(n - min(n, 6)))[:, None]
+    frontier = np.zeros((k, nw), dtype=np.uint64)
+    frontier[np.arange(k), sources >> 6] = np.left_shift(np.uint64(1), (sources & 63).astype(np.uint64))
     unvisited = ~frontier
-    nxt = np.empty_like(frontier)
-    flips = np.left_shift(1, np.arange(n))
-    opens = None
-    rows = np.array([source])
+    nxt, moved = np.empty_like(frontier), np.empty_like(frontier)
+    live = np.flatnonzero(frontier != 0)
     level = 0
-    while len(rows):
-        yield level, rows
+    while len(live):
+        yield level, frontier
         level += 1
         nxt.fill(0)
-        # a dense level sweeps nv / 64 words per coordinate on top of a
-        # fixed cost of about 50 numpy calls: single steps at n = 8-20
-        # broke even with the sparse step at about 256 + nv / 256 rows.
-        # Half or twice this bound took the same time within 10 %; 1/8
-        # of nv, as in `_bfs_levels`, took a search at n = 16, alpha =
-        # 0.01 from 4.7 to 15.2 ms and at n = 20 from 58 to 434 ms, and
-        # one at n = 12, alpha = 0.75 from 2.03 to 1.85 ms
-        if len(rows) < _SPARSE_SHARE * (nv / 32 + 2048):
-            # every open edge out of the frontier; two rows may share a
-            # neighbour, and OR sets its bit once
-            out = masks[rows]
-            bits = np.unpackbits(out.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
-            ends = (rows[:, None] ^ flips)[bits.view(bool)]
-            np.bitwise_or.at(nxt, ends >> 6, one << (ends & 63).astype(np.uint64))
+        flat, out, tmp = frontier.reshape(-1), nxt.reshape(-1), moved.reshape(-1)
+        if len(live) < _SPARSE_SHARE * (k * nw + 4096):
+            # each word's open ends, by its place in its search (take's
+            # mode="wrap" did the same 500 times slower)
+            moves = ends.take(live & (nw - 1), axis=2)
+            moves &= flat[live]
+            # moves inside a word stay in it, so one plain store; a word
+            # 2^(c-6) away can be two words' target for two c, hence the
+            # unbuffered OR
+            moves[0, :6] <<= shifts
+            moves[1, :6] >>= shifts
+            out[live] = np.bitwise_or.reduce(moves[:, :6], axis=(0, 1))
+            np.bitwise_or.at(out, live ^ jumps, moves[0, 6:] | moves[1, 6:])
         else:
-            if opens is None:
-                # bit v of row c: the edge along c at v is open (so the
-                # same bit at v ^ 2^c); zero past the cube's nv bits
-                packed = np.zeros((n, 8 * len(frontier)), dtype=np.uint8)
-                for k in range(-(-n // 8)):
-                    # byte k of every mask, contiguous: the bits of
-                    # coordinates 8k to 8k + 7
-                    col = np.ascontiguousarray(masks.view(np.uint8)[k::4])
-                    for c in range(8 * k, min(8 * k + 8, n)):
-                        bit = np.uint8(1 << (c & 7))
-                        packed[c, : -(-nv // 8)] = np.packbits(col & bit, bitorder="little")
-                opens = packed.view(np.uint64)
             for c in range(n):
-                moved = frontier & opens[c]
                 if c < 6:
-                    shift, low = np.uint64(1 << c), _IN_WORD[c]
-                    nxt |= (moved >> shift) & low | (moved & low) << shift
+                    shift = np.uint64(1 << c)
+                    np.bitwise_and(frontier, lo[c], out=moved)
+                    nxt |= np.left_shift(moved, shift, out=moved)
+                    np.bitwise_and(frontier, hi[c], out=moved)
+                    nxt |= np.right_shift(moved, shift, out=moved)
+                elif c < 10:
+                    jump = 1 << (c - 6)
+                    np.bitwise_and(frontier, lo[c], out=moved)
+                    out[jump:] |= tmp[:-jump]
+                    np.bitwise_and(frontier, hi[c], out=moved)
+                    out[:-jump] |= tmp[jump:]
                 else:
-                    shape = (len(frontier) >> (c - 5), 2, 1 << (c - 6))
-                    halves = nxt.reshape(shape)
-                    np.bitwise_or(halves, moved.reshape(shape)[:, ::-1], out=halves)
+                    # runs of 16 words or more swap as the halves of the
+                    # middle axis, both ends in one pass; shorter runs
+                    # iterate two to three times slower than the shifts
+                    np.bitwise_and(frontier, both[c - 10], out=moved)
+                    halves = out.reshape(-1, 2, 1 << (c - 6))
+                    np.bitwise_or(halves, tmp.reshape(halves.shape)[:, ::-1], out=halves)
         nxt &= unvisited
         unvisited ^= nxt
-        live = np.flatnonzero(nxt)
-        at = np.flatnonzero(np.unpackbits(nxt[live].view(np.uint8), bitorder="little").view(bool))
-        rows = live[at >> 6] << 6 | at & 63
+        # nonzero on the words themselves took five times as long
+        live = (out != 0).nonzero()[0]
         frontier, nxt = nxt, frontier
+
+
+def _reach(sample: PercolationSample, sources) -> np.ndarray:
+    """One `_bfs_bits` run from the sources: a (k, nv) array, row i
+    holding level + 1 where the search from sources[i] first reaches each
+    vertex and 0 where it never does, in the least unsigned dtype that
+    holds the deepest level + 1.
+
+    The levels are written bit-sliced: bit b of level + 1 ORs the
+    level's frontier into plane b, so a level costs a few word ORs, and
+    the planes are unpacked to bytes once, at the end."""
+    planes = []
+    depth = 0
+    for level, frontier in _bfs_bits(sample, sources):
+        depth = level + 1
+        if depth == 1 << len(planes):
+            planes.append(np.zeros_like(frontier))
+        for b, plane in enumerate(planes):
+            if depth >> b & 1:
+                plane |= frontier
+    reach = np.zeros((len(sources), sample.shape.vertex_count), dtype=np.min_scalar_type(depth))
+    for b, plane in enumerate(planes):
+        # bit j of a little-endian word is vertex 64 w + j; the padding
+        # past nv (n < 6) is dropped
+        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=reach.shape[1], bitorder="little")
+        reach |= np.left_shift(bits, b, dtype=reach.dtype)
+    return reach
+
+
+def _distances(sample: PercolationSample, sources) -> np.ndarray:
+    """Open-graph distances from each source (a row per source, or one
+    row for a scalar source), float64 with inf for unreached: `_reach`,
+    then 0 to inf and d + 1 to d by one table lookup."""
+    scalar = np.ndim(sources) == 0
+    reach = _reach(sample, np.atleast_1d(np.asarray(sources, dtype=np.int64)))
+    table = np.arange(-1.0, reach.max(initial=0))
+    table[0] = np.inf
+    dist = table[reach]
+    return dist[0] if scalar else dist
 
 
 def bfs(sample: PercolationSample, source: int) -> DistanceField:
     if not sample.vertex_present(source):
         raise SourceAbsent(f"vertex {source} is not present in the sample")
-    dist = np.full(sample.shape.vertex_count, -1, dtype=np.int32)
-    for level, rows in _bfs_bits(sample, source):
-        dist[rows] = level
+    dist = np.subtract(_reach(sample, [source])[0], 1, dtype=np.int32)
     return DistanceField(source, dist)
 
 
@@ -285,9 +247,12 @@ def bounded_distance(
 ) -> Optional[int]:
     """Open-graph distance between u and v, or None when it exceeds the
     cutoff (or no path exists).  Bidirectional ball growing.  An end
-    outside the cube raises ValueError, also when u == v."""
+    outside the cube or a negative cutoff raises ValueError, also when
+    u == v."""
     sample.shape.check_vertex(u)
     sample.shape.check_vertex(v)
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     if u == v:
         return 0
     masks = sample.open_neighbor_masks_array()
@@ -333,17 +298,17 @@ PAIR_BATCH = 64
 
 def _pair_distances(sample: PercolationSample, us, vs) -> list[Optional[int]]:
     """Open-graph distances d(us[i], vs[i]) for up to 64 pairs at once,
-    None where a pair is unreachable: one `_bfs_levels` run from the
-    us, reading each level's bits at the vs until every pair is met."""
+    None where a pair is unreachable: one `_bfs_bits` run from the us,
+    reading each search's bit at its target until every pair is met."""
     k = len(us)
     if not 0 < k <= PAIR_BATCH or len(vs) != k:
         raise ValueError(f"need 1 to {PAIR_BATCH} pairs of equal length, got {k}")
     vs = np.asarray(vs, dtype=np.int64)
-    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    word, bit = (np.arange(k), vs >> 6), (vs & 63).astype(np.uint64)
     dist = np.full(k, -1)
-    for level, _, reached in _bfs_levels(sample, us):
-        # each search's bit reaches its target at one level at most
-        dist[(reached[vs, 0] & bits) != 0] = level
+    for level, frontier in _bfs_bits(sample, us):
+        # each search reaches its target at one level at most
+        dist[(frontier[word] >> bit & np.uint64(1)) != 0] = level
         if (dist >= 0).all():
             break
     return [None if d < 0 else d for d in dist.tolist()]
@@ -566,8 +531,8 @@ def evaluate_distortion(
     lower endpoint ascending; its contraction blocks are the pairs
     a < b of each vertex a in turn.  Sampled mode draws pair_count adjacent pairs, each
     measured by the scalar bounded_distance, then pair_count distinct
-    pairs, batched PAIR_BATCH (64) per uint64 word in one multi-source
-    BFS, giving a valid lower bound on D; pair_count must be positive.
+    pairs, batched PAIR_BATCH (64) searches at a time in one `_bfs_bits`
+    run, giving a valid lower bound on D; pair_count must be positive.
     The stretch scan starts at -1 in exact mode, so its first edge is a
     witness even when every d_Y is 0, and at 0 in sampled mode, which
     then names no stretch witness.

@@ -41,7 +41,7 @@ perc_case = st.tuples(
     st.integers(2, 6), st.floats(0.1, 0.9), st.integers(0, 2**32)
 )
 
-# the BFS kernels' step modes, forced through the share below which a
+# the BFS kernel's step modes, forced through the share below which a
 # level takes the sparse step: never, always (an infinite share, since
 # `_bfs_bits` scales it), and the default switch between the two
 STEP_SHARES = {"dense": 0.0, "sparse": math.inf, "switched": metrics._SPARSE_SHARE}
@@ -137,6 +137,25 @@ def test_bounded_distance_cutoff(full4):
     assert bounded_distance(full4, 7, 7, cutoff=0) == 0
 
 
+@pytest.mark.parametrize("u, v", [(3, 3), (3, 5)])
+def test_bounded_distance_rejects_negative_cutoff(u, v):
+    # no distance lies at or below a negative cutoff, so u == v raises
+    # too instead of answering 0
+    sm = sample(CubeShape(4), PercModel.bond(0.9), 3)
+    with pytest.raises(ValueError, match="cutoff must be nonnegative, got -1"):
+        bounded_distance(sm, u, v, cutoff=-1)
+    assert bounded_distance(sm, u, v, cutoff=0) == (0 if u == v else None)
+
+
+@pytest.mark.parametrize("v", [-1, 16, 2**40])
+def test_distance_field_rejects_vertices_outside_the_cube(v):
+    # -1 once read vertex 15's distance and 16 died with IndexError
+    field = bfs(sample(CubeShape(4), PercModel.bond(0.9), 3), 0)
+    assert field.distance(15) == 4
+    with pytest.raises(ValueError, match=rf"vertex {v} is outside the cube \[0, 2\^4\)"):
+        field.distance(v)
+
+
 class TestDistances:
     """`_distances` against scipy's `dijkstra` bit for bit, in each step
     mode of the kernel."""
@@ -152,8 +171,8 @@ class TestDistances:
     @pytest.mark.parametrize("step", STEP_SHARES)
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_matches_scipy(self, kind, step, monkeypatch):
-        # 1 to 129 sources span one to three words, and every vertex up
-        # to sixteen; p = 0.3 leaves many components, p = 0.8 few
+        # 1 to 129 sources, one search row each, and every vertex up to
+        # sixteen; p = 0.3 leaves many components, p = 0.8 few
         monkeypatch.setattr(metrics, "_SPARSE_SHARE", STEP_SHARES[step])
         absent_seen = False
         for n in range(1, 11):
@@ -170,6 +189,19 @@ class TestDistances:
                 self.assert_matches_scipy(sm, [nv - 1, 0, nv - 1, nv - 1, *absent, 0], (n, p, "repeated"))
                 self.assert_matches_scipy(sm, nv - 1, (n, p, "scalar"))
         assert absent_seen or kind == "bond"
+
+    @pytest.mark.parametrize("step", STEP_SHARES)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_scipy_past_ten_coordinates(self, kind, step, monkeypatch):
+        # coordinates 10 and up move whole runs of 16 or more words, a
+        # dense-step branch that n <= 10 never takes
+        monkeypatch.setattr(metrics, "_SPARSE_SHARE", STEP_SHARES[step])
+        for n in (11, 12):
+            rng = np.random.default_rng(n)
+            for p in (0.3, 0.8):
+                sm = sample(CubeShape(n), perc_model(kind, p), n)
+                for count in (2, 65):
+                    self.assert_matches_scipy(sm, rng.integers(0, 1 << n, count), (n, p, count))
 
     @pytest.mark.parametrize("step", STEP_SHARES)
     def test_levels_past_uint8(self, step, monkeypatch):
@@ -197,8 +229,8 @@ class TestDistances:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_bfs_matches_oracle_and_rows(self, kind):
-        # the single-source kernel against the dict BFS and the
-        # multi-source kernel's row, in each step mode: every present
+        # one-source `bfs` against the dict BFS and the many-source
+        # `_distances` row, in each step mode: every present
         # source up to n = 8 and eight beyond it; n <= 5 holds the search
         # in one padded word, and n = 6, 7 take the first word swaps
         for n in range(1, 13):
