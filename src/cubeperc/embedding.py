@@ -80,7 +80,12 @@ def build_good_map(
 ) -> Union[VertexMap, FailureReport]:
     """f(x) = the good vertex differing from x in exactly one
     B-coordinate, lowest coordinate winning; x itself is not a
-    candidate.  Returns the bad-vertex report when any x has none."""
+    candidate.  Returns the bad-vertex report when any x has none.  A
+    partition of another dimension than the sample's raises ValueError."""
+    if partition.n != sample.shape.n:
+        raise ValueError(
+            f"partition is for dimension {partition.n}, sample has dimension {sample.shape.n}"
+        )
     nv = sample.shape.vertex_count
     good = _good_vertices(sample, partition)
     x = np.arange(nv, dtype=np.int64)

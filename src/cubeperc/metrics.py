@@ -6,9 +6,9 @@ masks, `_bfs_bits`, which runs k searches at once, each as one bit per
 vertex.  `bfs` runs it from one source, and `evaluate_distortion` asks
 `bfs` whether every image is reachable from the first; `_distances`
 runs it from many sources (the exact evaluator, the brute-force search
-and `cycles.image_walk`) and `_pair_distances` from 64 pair starts at a
-time (the sampled contraction side).  `bounded_distance` is the scalar
-search for single pairs with a cutoff.
+and `cycles.image_walk`).  `bounded_distance` is the scalar search for
+single pairs with a cutoff; it measures every pair that the sampled
+evaluator searches.
 Components come from scipy's `connected_components`.
 
 Distortion here is the non-symmetric kind: for f mapping the full cube
@@ -246,16 +246,28 @@ def bounded_distance(
     cutoff: Optional[int] = None,
 ) -> Optional[int]:
     """Open-graph distance between u and v, or None when it exceeds the
-    cutoff (or no path exists).  Bidirectional ball growing.  An end
+    cutoff (or no path exists).  No path is shorter than h = |u ^ v|: a
+    depth-first walk that flips only bits in which it differs from v
+    finds one of length h if there is one, in about h steps in a dense
+    sample, and bidirectional ball growing finds the rest.  An end
     outside the cube or a negative cutoff raises ValueError, also when
     u == v."""
     sample.shape.check_vertex(u)
     sample.shape.check_vertex(v)
     if cutoff is not None and cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    if u == v:
-        return 0
+    h = hamming(u, v)
+    if cutoff is not None and h > cutoff:
+        return None
     masks = sample.open_neighbor_masks_array()
+    stack, seen = [u], {u}
+    while stack:
+        w = stack.pop()
+        if w == v:
+            return h
+        steps = [x for x in flip_neighbors(w, int(masks[w]) & (w ^ v)) if x not in seen]
+        seen.update(steps)
+        stack += steps
     du = {u: 0}
     dv = {v: 0}
     fu, fv = [u], [v]
@@ -291,27 +303,6 @@ def bounded_distance(
     if cutoff is not None and best > cutoff:
         return None
     return int(best)
-
-
-PAIR_BATCH = 64
-
-
-def _pair_distances(sample: PercolationSample, us, vs) -> list[Optional[int]]:
-    """Open-graph distances d(us[i], vs[i]) for up to 64 pairs at once,
-    None where a pair is unreachable: one `_bfs_bits` run from the us,
-    reading each search's bit at its target until every pair is met."""
-    k = len(us)
-    if not 0 < k <= PAIR_BATCH or len(vs) != k:
-        raise ValueError(f"need 1 to {PAIR_BATCH} pairs of equal length, got {k}")
-    vs = np.asarray(vs, dtype=np.int64)
-    word, bit = (np.arange(k), vs >> 6), (vs & 63).astype(np.uint64)
-    dist = np.full(k, -1)
-    for level, frontier in _bfs_bits(sample, us):
-        # each search reaches its target at one level at most
-        dist[(frontier[word] >> bit & np.uint64(1)) != 0] = level
-        if (dist >= 0).all():
-            break
-    return [None if d < 0 else d for d in dist.tolist()]
 
 
 @dataclass
@@ -519,23 +510,26 @@ def evaluate_distortion(
 ) -> DistortionReport:
     """Distortion of vmap from the full cube metric into the sample.
 
-    Each mode supplies (a, b, d_Y) blocks of source pairs, in scan
-    order, for each side; one scan keeps the first strict maximum of d_Y
-    over the stretch blocks and the first strict minimum of
-    max(1, d_Y) / d_X over the contraction blocks, and their pairs are
-    the witnesses.
+    The witnesses are the first pairs in scan order that attain the
+    greatest d_Y over the stretch pairs and the least max(1, d_Y) / d_X
+    over the contraction pairs.  Exact mode reads every d_Y from one
+    `_distances` run from the distinct images; it is capped at
+    n <= EXACT_CAP_DEFAULT.  Its stretch pairs are the cube edges of
+    each coordinate c in turn, lower endpoint ascending; its
+    contraction pairs are the pairs a < b of each vertex a in turn.
+    Sampled mode draws pair_count adjacent pairs, then pair_count
+    distinct pairs, giving a valid lower bound on D; pair_count must be
+    positive.  The stretch scan starts at -1 in exact mode, so its first
+    edge is a witness even when every d_Y is 0, and at 0 in sampled
+    mode, which then names no stretch witness.
 
-    Exact mode reads every d_Y from one `_distances` run from the
-    distinct images; it is capped at n <= EXACT_CAP_DEFAULT.  Its
-    stretch blocks are the cube edges of each coordinate c in turn,
-    lower endpoint ascending; its contraction blocks are the pairs
-    a < b of each vertex a in turn.  Sampled mode draws pair_count adjacent pairs, each
-    measured by the scalar bounded_distance, then pair_count distinct
-    pairs, batched PAIR_BATCH (64) searches at a time in one `_bfs_bits`
-    run, giving a valid lower bound on D; pair_count must be positive.
-    The stretch scan starts at -1 in exact mode, so its first edge is a
-    witness even when every d_Y is 0, and at 0 in sampled mode, which
-    then names no stretch witness.
+    Sampled mode measures pairs with `bounded_distance`.  A path in the
+    sample is a path in the cube, so no distinct pair's ratio is below
+    lb = max(1, |f a ^ f b|) / |a ^ b|.  The pairs are searched in
+    ascending (lb, draw index) order with the cutoff floor(best |a ^ b|)
+    + 1, which no d_Y whose ratio is at or under the best so far
+    exceeds, until a pair's lb exceeds the best or ties it at a later
+    draw than the witness.
 
     An image outside the cube or absent from the sample raises
     ValueError.  Then one `bfs` from img[0] decides connectivity: every
@@ -578,11 +572,14 @@ def evaluate_distortion(
         # array viewed as (2^(n-c-1), 2, 2^c)
         edges = (all_v.reshape(-1, 2, 1 << c).swapaxes(0, 1).reshape(2, -1) for c in range(n))
         stretch = ((lo, hi, dmat[img_idx[lo], img[hi]]) for lo, hi in edges)
-        contraction = (
-            (np.broadcast_to(a, nv - a - 1), all_v[a + 1 :], dmat[img_idx[a], img[a + 1 :]])
-            for a in range(nv - 1)
-        )
         best_plus, pairs_evaluated = -1, None
+        best_minus, wit_minus = math.inf, None
+        for a in range(nv - 1):
+            b = all_v[a + 1 :]
+            ratios = np.maximum(dmat[img_idx[a], img[b]], 1.0) / np.bitwise_count(a ^ b)
+            k = int(np.argmin(ratios))
+            if ratios[k] < best_minus:
+                best_minus, wit_minus = float(ratios[k]), (a, int(b[k]))
     else:
         stream = CounterStream(seed)
         adjacent = []
@@ -596,26 +593,32 @@ def evaluate_distortion(
             while b == a:
                 b = stream.below(nv)
             pairs.append((a, b))
-        adjacent, pairs = np.array(adjacent), np.array(pairs)
+        adjacent = np.array(adjacent)
         dys = [bounded_distance(sample, u, v) for u, v in img[adjacent].tolist()]
         stretch = [(*adjacent.T, np.array(dys))]
-        batches = (pairs[lo : lo + PAIR_BATCH] for lo in range(0, pair_count, PAIR_BATCH))
-        contraction = (
-            (*batch.T, np.array(_pair_distances(sample, *img[batch].T))) for batch in batches
-        )
         best_plus, pairs_evaluated = 0, 2 * pair_count
+        a, b = np.array(pairs).T
+        hs = np.bitwise_count(a ^ b).tolist()
+        lbs = (np.maximum(np.bitwise_count(img[a] ^ img[b]), 1.0) / hs).tolist()
+        best_minus, wit = math.inf, None
+        for i in np.argsort(lbs, kind="stable").tolist():
+            if lbs[i] > best_minus or (lbs[i] == best_minus and i > wit):
+                break
+            cutoff = None if wit is None else math.floor(best_minus * hs[i]) + 1
+            dy = bounded_distance(sample, int(img[a[i]]), int(img[b[i]]), cutoff)
+            # every image lies in one component, so None is over the cutoff
+            if dy is None:
+                continue
+            ratio = max(dy, 1) / hs[i]
+            if ratio < best_minus or (ratio == best_minus and i < wit):
+                best_minus, wit = ratio, i
+        wit_minus = pairs[wit]
 
     wit_plus = None
     for a, b, dy in stretch:
         k = int(np.argmax(dy))
         if dy[k] > best_plus:
             best_plus, wit_plus = dy[k], (int(a[k]), int(b[k]))
-    best_minus, wit_minus = math.inf, None
-    for a, b, dy in contraction:
-        ratios = np.maximum(dy, 1.0) / np.bitwise_count(a ^ b)
-        k = int(np.argmin(ratios))
-        if ratios[k] < best_minus:
-            best_minus, wit_minus = float(ratios[k]), (int(a[k]), int(b[k]))
 
     d_plus = max(1.0, float(best_plus))
     return DistortionReport(

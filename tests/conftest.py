@@ -185,8 +185,9 @@ def oracle_sampled_distortion(sm, vmap, pair_count: int, seed: int) -> Distortio
     pair_count distinct pairs for the contraction, from one
     CounterStream(seed).  Witnesses are the first strict extrema; a pair
     with no path ends the scan with an infinite report.  This is the
-    reference the batched contraction side must reproduce exactly, so
-    it shares the package's scalar search and pair stream."""
+    reference that the evaluator's lower-bound scan of the contraction
+    pairs must reproduce exactly, so it shares the package's scalar
+    search and pair stream."""
     nv, n = sm.shape.vertex_count, sm.shape.n
     img = vmap.image
     stream = CounterStream(seed)

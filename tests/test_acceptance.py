@@ -50,6 +50,7 @@ from cubeperc.hypercube import (
     make_partition,
 )
 from cubeperc.metrics import (
+    DistortionReport,
     VertexMap,
     _distances,
     bfs,
@@ -308,7 +309,8 @@ def test_extraction_respects_distortion_bounds():
 def test_good_map_failures_reported_and_large_n_builds():
     """At small n the good-vertex construction cannot work and must say so
     with a sorted failure report, never a broken map; in an easy regime at
-    n=16 it builds and the sampled distortion sits inside the guarantees.
+    n=16 and n=20 it builds and the sampled distortion sits inside the
+    guarantees.
 
     The 180 small-n failures follow from counting alone: a good vertex
     needs 2m witnesses among C(m, 2) pairs of A coordinates, and every
@@ -333,22 +335,30 @@ def test_good_map_failures_reported_and_large_n_builds():
     # steeper decay: the coordinate partition itself is impossible here
     with pytest.raises(DimensionTooSmall):
         make_partition(CubeShape(10), 0.45)
-    # near-full retention regime where the construction does land
-    shape = CubeShape(16)
-    part = make_partition(shape, 0.01)
-    sm = sample(shape, PercModel.bond(16**-0.01), 3)
-    built = build_good_map(sm, part)
-    built_ok = isinstance(built, VertexMap)
-    ok &= built_ok
     detail = f"{failures} small-n failures all reported"
-    if built_ok:
+    # near-full retention regime where the construction does land, at the
+    # smallest cube where it can and at n = 20
+    for n in (16, 20):
+        shape = CubeShape(n)
+        part = make_partition(shape, 0.01)
+        sm = sample(shape, PercModel.bond(n**-0.01), 3)
+        built = build_good_map(sm, part)
+        built_ok = isinstance(built, VertexMap)
+        ok &= built_ok
+        if not built_ok:
+            detail += f"; n={n} build FAILED"
+            continue
         rep = evaluate_distortion(sm, built, "sampled", pair_count=4096, seed=11)
         ok &= rep.exactness == "sampled" and not rep.infinite
         ok &= rep.d_minus > 1.0 / 3.0
         ok &= rep.d_plus <= 2 * part.l + 13
-        detail += f"; n=16 build d-={rep.d_minus:.3f} d+={rep.d_plus:.1f}"
-    else:
-        detail += "; n=16 build FAILED"
+        if n == 20:
+            # the report of the evaluator that searched all 4096 contraction
+            # pairs, in 64-pair multi-source BFS batches
+            ok &= rep == DistortionReport(
+                3.0, 1.0, 3.0, (725828, 725572), (89254, 534706), "sampled", 8192
+            )
+        detail += f"; n={n} build d-={rep.d_minus:.3f} d+={rep.d_plus:.1f}"
     _gate(6, "good-map construction honesty", ok, time.perf_counter() - t0, 180.0, detail)
 
 

@@ -158,6 +158,13 @@ class TestBuildGoodMap:
             assert (fx ^ x).bit_count() == 1 and (fx ^ x) & ~b_mask == 0
             assert oracle_is_good(sm, fx, part)
 
+    @pytest.mark.parametrize("n, part_n", [(16, 20), (16, 13), (8, 30)])
+    def test_partition_of_another_dimension_raises(self, n, part_n):
+        # once a silent map, an all-bad report or a reshape error
+        sm = sample(CubeShape(n), PercModel.bond(16**-0.01), 3)
+        with pytest.raises(ValueError, match=f"dimension {part_n}, sample has dimension {n}"):
+            build_good_map(sm, make_partition(part_n, 0.01))
+
 
 def assert_same_build(got, want):
     assert type(got) is type(want)

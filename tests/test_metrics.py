@@ -25,10 +25,8 @@ from cubeperc.hypercube import CubeShape, hamming
 from cubeperc.embedding import build_good_map
 from cubeperc.hypercube import make_partition
 from cubeperc.metrics import (
-    PAIR_BATCH,
     DistortionReport,
     VertexMap,
-    _pair_distances,
     bfs,
     bounded_distance,
     brute_force_min_distortion,
@@ -101,14 +99,20 @@ def test_bfs_matches_oracle(kind, case):
             assert field.dist.tolist() == expect, share
 
 
-@settings(max_examples=30, deadline=None)
-@given(perc_case, st.data())
-def test_bounded_distance_matches_bfs(case, data):
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MODEL_KINDS), perc_case, st.data())
+def test_bounded_distance_matches_bfs(kind, case, data):
+    # the distance exactly when it is at most the cutoff: the sampled
+    # evaluator's contraction scan skips a pair on None
     n, p, seed = case
-    sm = sample(CubeShape(n), PercModel.bond(p), seed)
+    sm = sample(CubeShape(n), perc_model(kind, p), seed)
     u = data.draw(st.integers(0, sm.shape.vertex_count - 1))
     v = data.draw(st.integers(0, sm.shape.vertex_count - 1))
-    assert bounded_distance(sm, u, v) == bfs(sm, u).distance(v)
+    cutoff = data.draw(st.none() | st.integers(0, n + 1))
+    # an absent u has no open edge, so it reaches only itself
+    d = bfs(sm, u).distance(v) if sm.vertex_present(u) else (0 if u == v else None)
+    want = d if d is not None and (cutoff is None or d <= cutoff) else None
+    assert bounded_distance(sm, u, v, cutoff) == want
 
 
 def test_bounded_distance_absent_ends():
@@ -135,6 +139,15 @@ def test_bounded_distance_cutoff(full4):
     assert bounded_distance(full4, 0, 15, cutoff=3) is None
     assert bounded_distance(full4, 0, 15, cutoff=4) == 4
     assert bounded_distance(full4, 7, 7, cutoff=0) == 0
+
+
+def test_bounded_distance_detours_without_a_geodesic_path(broken_square):
+    # 2 and 3 differ in one bit but their edge is closed, so no path
+    # flips only that bit and the ball growing finds the detour 2-0-1-3;
+    # 2 and 1 are joined by the flips 2-0-1
+    assert bounded_distance(broken_square, 2, 3) == 3
+    assert bounded_distance(broken_square, 3, 2, cutoff=2) is None
+    assert bounded_distance(broken_square, 2, 1) == 2
 
 
 @pytest.mark.parametrize("u, v", [(3, 3), (3, 5)])
@@ -252,45 +265,6 @@ class TestDistances:
                             field = bfs(sm, source)
                         assert field.dist.dtype == np.int32
                         assert field.dist.tobytes() == expect.tobytes(), (n, p, source, step)
-
-
-class TestPairDistances:
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    @pytest.mark.parametrize("n", range(3, 9))
-    def test_matches_scalar_searches(self, kind, n, monkeypatch):
-        # p = 0.35 leaves several components, so some pairs have no
-        # path; every seventh pair is u == v
-        sm = sample(CubeShape(n), perc_model(kind, 0.35), n)
-        rng = np.random.default_rng(n)
-        us = rng.integers(0, 2**n, PAIR_BATCH)
-        vs = rng.integers(0, 2**n, PAIR_BATCH)
-        vs[::7] = us[::7]
-        want = [bounded_distance(sm, int(u), int(v)) for u, v in zip(us, vs)]
-        assert None in want and 0 in want
-        for u, v, d in zip(us.tolist(), vs.tolist(), want):
-            if sm.vertex_present(u):
-                assert bfs(sm, u).distance(v) == d
-        for step, share in STEP_SHARES.items():
-            monkeypatch.setattr(metrics, "_SPARSE_SHARE", share)
-            for size in (1, 63, 64):
-                assert _pair_distances(sm, us[:size], vs[:size]) == want[:size], step
-
-    def test_far_pairs_on_dense_n16(self, monkeypatch):
-        n = 16
-        sm = sample(CubeShape(n), PercModel.bond(n**-0.01), 3)
-        rng = np.random.default_rng(0)
-        us = rng.integers(0, 2**n, PAIR_BATCH)
-        vs = rng.integers(0, 2**n, PAIR_BATCH)
-        want = [bounded_distance(sm, int(u), int(v)) for u, v in zip(us, vs)]
-        assert sorted(want)[PAIR_BATCH // 2] >= 8
-        for step, share in STEP_SHARES.items():
-            monkeypatch.setattr(metrics, "_SPARSE_SHARE", share)
-            assert _pair_distances(sm, us, vs) == want, step
-
-    @pytest.mark.parametrize("size", [0, PAIR_BATCH + 1])
-    def test_batch_size_bounds(self, full3, size):
-        with pytest.raises(ValueError):
-            _pair_distances(full3, [0] * size, [1] * size)
 
 
 class TestComponents:
@@ -627,10 +601,36 @@ class TestEvaluateDistortion:
 
 
 class TestSampledMatchesScalarOracle:
-    """Batched sampled distortion against the one-search-per-pair loop:
-    pair counts on both sides of a 64-pair batch and a partial last one."""
+    """Sampled distortion, whose contraction side searches only the pairs
+    its Hamming lower bound cannot rule out, against the loop that
+    searches every pair in draw order: pair counts from 1 to 200, maps
+    whose bound is tight (the good map) or loose (maps onto a sparse
+    giant), and witnesses found after the first search."""
 
     PAIR_COUNTS = [1, 64, 65, 200]
+
+    @staticmethod
+    def nearest_giant_map(sm):
+        """Each vertex to the least giant vertex not below it (the largest
+        giant vertex past the last one)."""
+        giant = np.flatnonzero(components(sm).giant_mask())
+        pos = np.searchsorted(giant, np.arange(sm.shape.vertex_count))
+        return VertexMap(giant[pos.clip(max=len(giant) - 1)])
+
+    @staticmethod
+    def contraction_searches(monkeypatch, sm, vmap, pair_count, seed):
+        """The sampled report, and the image pairs that its contraction
+        side searched, in search order."""
+        calls = []
+
+        def recording(sample, u, v, cutoff=None):
+            calls.append((u, v))
+            return bounded_distance(sample, u, v, cutoff)
+
+        monkeypatch.setattr(metrics, "bounded_distance", recording)
+        got = evaluate_distortion(sm, vmap, "sampled", pair_count=pair_count, seed=seed)
+        # the stretch side searches its pair_count pairs first
+        return got, calls[pair_count:]
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("pair_count", PAIR_COUNTS)
@@ -652,6 +652,29 @@ class TestSampledMatchesScalarOracle:
         vmap = build_good_map(sm, make_partition(shape, 0.01))
         got = evaluate_distortion(sm, vmap, "sampled", pair_count=pair_count, seed=11)
         assert got == oracle_sampled_distortion(sm, vmap, pair_count, 11)
+
+    def test_loose_lower_bound_n12(self, monkeypatch):
+        # the sparse giant stretches distances far past the Hamming
+        # bound, so the bound rules out few of the drawn pairs
+        sm = sample(CubeShape(12), PercModel.bond(12**-0.75), 3)
+        vmap = self.nearest_giant_map(sm)
+        got, searched = self.contraction_searches(monkeypatch, sm, vmap, 64, 64)
+        assert len(searched) >= 48
+        assert got == oracle_sampled_distortion(sm, vmap, 64, 64)
+
+    @pytest.mark.parametrize(
+        "n, kind, alpha, seed, pair_count",
+        [(7, "mixed", 0.25, 3, 64), (8, "bond", 0.5, 2, 64), (10, "mixed", 0.5, 0, 200)],
+    )
+    def test_witness_not_first_searched(self, n, kind, alpha, seed, pair_count, monkeypatch):
+        # later searches lower the best, and the witness ties the best
+        # at an earlier draw than a pair searched before it
+        sm = sample(CubeShape(n), perc_model(kind, n**-alpha), seed)
+        vmap = self.nearest_giant_map(sm)
+        got, searched = self.contraction_searches(monkeypatch, sm, vmap, pair_count, pair_count)
+        a, b = got.witness_minus
+        assert searched[0] != (vmap[a], vmap[b])
+        assert got == oracle_sampled_distortion(sm, vmap, pair_count, pair_count)
 
 
 class TestBruteForce:
