@@ -5,14 +5,17 @@ the neighbor-retrace family, and neighbor-distance statistics.
 A vertex is good when at least 2m vertices, each differing from it in
 exactly two A-coordinates, are reachable by open 2-paths whose edges
 both lie along A-coordinates.  The map f sends each vertex to a good
-vertex one B-coordinate away.  At small n good vertices are rare (the
-asymptotics need (1-2alpha)l > 9alpha to bite), so build failure is an
-expected outcome and is returned as a report, not raised.
+vertex one B-coordinate away.  Both are computed on the sample's
+open-bit planes, a word per 64 vertices, never on the per-vertex
+masks.  At small n good vertices are rare (the asymptotics need
+(1-2alpha)l > 9alpha to bite), so build failure is an expected outcome
+and is returned as a report, not raised.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -33,6 +36,7 @@ from .percolation import (
     PercolationSample,
     _mix64_array,
     draws_below,
+    flip_across,
     vertex_draw_offset,
 )
 
@@ -54,25 +58,46 @@ class FailureReport:
         return len(self.bad_vertices)
 
 
-def _good_vertices(sample: PercolationSample, partition: CoordinatePartition) -> np.ndarray:
-    """Goodness of every vertex at once, from the open-neighbour masks.
+def _good_bits(sample: PercolationSample, partition: CoordinatePartition) -> np.ndarray:
+    """Goodness of every vertex at once, as packed vertex bits (the
+    layout of the sample's open-bit planes, zero past nv).
 
     Each pair a1 < a2 of A coordinates names one witness,
     v ^ 2^a1 ^ 2^a2, reached when the 2-path through v ^ 2^a1 or the
-    one through v ^ 2^a2 is open.  Absent vertices have mask 0, so they
-    are never good."""
-    masks = sample.open_neighbor_masks_array()
-
-    def across(a: int) -> np.ndarray:
-        # masks[v ^ 2^a] for every v, by swapping the halves of axis a
-        return masks.reshape(-1, 2, 1 << a)[:, ::-1].ravel()
-
-    witnesses = np.zeros(len(masks), dtype=np.int32)
+    one through v ^ 2^a2 is open: plane a1 ANDed with plane a2 moved
+    across a1, ORed with the same for a2.  The witness counts are kept
+    bit-sliced, bit s of every count in one word array, added to by a
+    ripple carry and compared with 2m from the top bit down.  An absent
+    vertex has no open edge, so it is never good."""
+    planes = sample.open_bit_planes()
+    target = 2 * partition.m
+    width = max(math.comb(partition.m, 2), target).bit_length()
+    counts = np.zeros((width, planes.shape[1]), dtype=np.uint64)
     for a1, a2 in itertools.combinations(partition.a_coords, 2):
-        via1 = (masks >> a1) & (across(a1) >> a2)
-        via2 = (masks >> a2) & (across(a2) >> a1)
-        witnesses += (via1 | via2) & 1
-    return witnesses >= 2 * partition.m
+        carry = planes[a1] & flip_across(planes[a2], a1)
+        carry |= planes[a2] & flip_across(planes[a1], a2)
+        for bits in counts:
+            overflow = bits & carry
+            bits ^= carry
+            carry = overflow
+    above = np.zeros_like(counts[0])
+    equal = ~above
+    for s in reversed(range(width)):
+        if target >> s & 1:
+            equal &= counts[s]
+        else:
+            above |= equal & counts[s]
+    return above | equal
+
+
+def _unpacked(words: np.ndarray, nv: int) -> np.ndarray:
+    """The first nv bits of packed vertex words, one uint8 0 or 1 each."""
+    return np.unpackbits(words.view(np.uint8), count=nv, bitorder="little")
+
+
+def _good_vertices(sample: PercolationSample, partition: CoordinatePartition) -> np.ndarray:
+    """Goodness of every vertex, one bool each: `_good_bits` unpacked."""
+    return _unpacked(_good_bits(sample, partition), sample.shape.vertex_count).view(bool)
 
 
 def build_good_map(
@@ -81,20 +106,41 @@ def build_good_map(
     """f(x) = the good vertex differing from x in exactly one
     B-coordinate, lowest coordinate winning; x itself is not a
     candidate.  Returns the bad-vertex report when any x has none.  A
-    partition of another dimension than the sample's raises ValueError."""
+    partition of another dimension than the sample's raises ValueError.
+
+    Works on the packed good bits.  Moved across each B coordinate b in
+    ascending order, they mark the x not matched yet whose lowest good
+    coordinate is b, and those marks are ORed into the bit slices that
+    spell b.  Only the slices (five at most) are unpacked, into one
+    uint8 lowest coordinate per vertex."""
     if partition.n != sample.shape.n:
         raise ValueError(
             f"partition is for dimension {partition.n}, sample has dimension {sample.shape.n}"
         )
     nv = sample.shape.vertex_count
-    good = _good_vertices(sample, partition)
-    x = np.arange(nv, dtype=np.int64)
-    image = np.full(nv, -1, dtype=np.int64)
-    for b in sorted(partition.b_coords, reverse=True):
-        cand = x ^ (1 << b)
-        image = np.where(good[cand], cand, image)
-    bad = np.flatnonzero(image < 0)
-    return FailureReport(bad) if len(bad) else VertexMap(image)
+    good = _good_bits(sample, partition)
+    b_coords = sorted(partition.b_coords)
+    matched = np.zeros_like(good)
+    lowest_bits = np.zeros((b_coords[-1].bit_length(), len(good)), dtype=np.uint64)
+    for b in b_coords:
+        first = flip_across(good, b) & ~matched
+        matched |= first
+        for s, bits in enumerate(lowest_bits):
+            if b >> s & 1:
+                bits |= first
+    bad = np.flatnonzero(_unpacked(~matched, nv))
+    if len(bad):
+        return FailureReport(bad)
+    lowest = np.zeros(nv, dtype=np.uint8)
+    for s, bits in enumerate(lowest_bits):
+        lowest |= _unpacked(bits, nv) << np.uint8(s)
+    image = np.left_shift(1, lowest, dtype=np.int64)
+    # image ^= x, as its high bits (a column per row) and its low bits (a
+    # row), so no nv-long index array is made
+    rows = image.reshape(-1, 1 << (sample.shape.n + 1) // 2)
+    rows ^= np.arange(rows.shape[1])
+    rows ^= np.arange(0, nv, rows.shape[1])[:, None]
+    return VertexMap(image)
 
 
 @dataclass(frozen=True)

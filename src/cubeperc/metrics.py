@@ -1,14 +1,15 @@
 """Graph metrics over percolation samples: BFS distances, connected
 components, and metric distortion of vertex maps.
 
-Open-graph distances come from one BFS kernel over the open-neighbour
-masks, `_bfs_bits`, which runs k searches at once, each as one bit per
-vertex.  `bfs` runs it from one source, and `evaluate_distortion` asks
-`bfs` whether every image is reachable from the first; `_distances`
-runs it from many sources (the exact evaluator, the brute-force search
-and `cycles.image_walk`).  `bounded_distance` is the scalar search for
-single pairs with a cutoff; it measures every pair that the sampled
-evaluator searches.
+Open-graph distances come from one BFS kernel, `_bfs_bits`, which runs
+k searches at once, each as one bit per vertex, and reads the open edges
+from the sample's cached open-bit planes (`open_bit_planes`).  `bfs`
+runs it from one source, and `evaluate_distortion` asks `bfs` whether
+every image is reachable from the first; `_distances` runs it from many
+sources (the exact evaluator, the brute-force search and
+`cycles.image_walk`).  `bounded_distance` is the scalar search for
+single pairs with a cutoff, over the per-vertex open-neighbour masks;
+it measures every pair that the sampled evaluator searches.
 Components come from scipy's `connected_components`.
 
 Distortion here is the non-symmetric kind: for f mapping the full cube
@@ -33,7 +34,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, GiantTooSmall, SourceAbsent, TooLarge
 from .hypercube import CubeShape, flip_neighbors, hamming
-from .percolation import CounterStream, PercolationSample
+from .percolation import _IN_WORD, CounterStream, PercolationSample
 
 EXACT_CAP_DEFAULT = 12
 BRUTE_FORCE_CAP = 3
@@ -80,15 +81,11 @@ def _csr(edges, size: int) -> csr_matrix:
 # dense step's fixed calls at small k nw
 _SPARSE_SHARE = 1 / 8
 
-# bit b of a uint64 word is vertex 64 w + b, so the edges along a
-# coordinate c < 6 join bits of one word: _IN_WORD[c] holds the bits with
-# bit c of their position clear, the lower ends of those edges
-_IN_WORD = [np.uint64(sum(1 << b for b in range(64) if not b >> c & 1)) for c in range(6)]
-
 
 def _bfs_bits(sample: PercolationSample, sources):
-    """Multi-source BFS over the open-neighbour masks, one level at a
-    time, holding each search as one bit per vertex.
+    """Multi-source BFS over the sample's open-bit planes, one level at
+    a time, holding each search as one bit per vertex.  A source outside
+    the cube raises ValueError.
 
     Multi-source BFS (Then et al., VLDB 2014): row i of a (k, nw) uint64
     array, nw = ceil(nv / 64) (one padded word when n < 6), is the
@@ -101,7 +98,8 @@ def _bfs_bits(sample: PercolationSample, sources):
 
     A step moves the frontier across every coordinate c and ORs it into
     the next frontier.  lo[c] and hi[c] hold the lower and the upper ends
-    of c's open edges, packed once per call, so the frontier ANDed with
+    of c's open edges, split from the cached plane of c (whose run
+    swaps take both at once for c >= 10), so the frontier ANDed with
     lo[c] moves 2^c vertices up and ANDed with hi[c] 2^c down: by a shift
     inside each word for c < 6, by 2^(c-6) words for c >= 6.  A search's
     nw words hold whole aligned runs of 2^(c-5) words, so a move never
@@ -114,32 +112,26 @@ def _bfs_bits(sample: PercolationSample, sources):
     their open ends and moves them along every coordinate at once.
     """
     n, nv = sample.shape.n, sample.shape.vertex_count
-    masks = sample.open_neighbor_masks_array()
     sources = np.asarray(sources, dtype=np.int64)
-    k, nw = len(sources), -(-nv // 64)
-    # bit v of row c: the edge along c at v is open (so the same bit at
-    # v ^ 2^c); zero past the cube's nv bits
-    packed = np.zeros((n, 8 * nw), dtype=np.uint8)
-    for b in range(-(-n // 8)):
-        # byte b of every mask, contiguous: the bits of coordinates 8b
-        # to 8b + 7
-        col = np.ascontiguousarray(masks.view(np.uint8)[b::4])
-        for c in range(8 * b, min(8 * b + 8, n)):
-            packed[c, : -(-nv // 8)] = np.packbits(col & np.uint8(1 << (c & 7)), bitorder="little")
+    outside = np.flatnonzero((sources < 0) | (sources >= nv))
+    if len(outside):
+        sample.shape.check_vertex(int(sources[outside[0]]))
+    planes = sample.open_bit_planes()
+    k, nw = len(sources), planes.shape[1]
     # ends[0, c] and ends[1, c]: the lower and the upper ends of c's open
     # edges
     ends = np.empty((2, n, nw), dtype=np.uint64)
     lo, hi = ends
-    lo[:] = hi[:] = packed.view(np.uint64)
+    lo[:] = planes
     for c in range(n):
         if c < 6:
             lo[c] &= _IN_WORD[c]
         else:
             lo[c].reshape(-1, 2, 1 << (c - 6))[:, 1] = 0
-    hi ^= lo
+    np.bitwise_xor(planes, lo, out=hi)
     # both ends at once, for the coordinates whose halves the dense step
     # swaps whole
-    both = lo[10:] | hi[10:]
+    both = planes[10:]
     shifts = np.left_shift(np.uint64(1), np.arange(min(n, 6), dtype=np.uint64))[:, None]
     jumps = np.left_shift(1, np.arange(n - min(n, 6)))[:, None]
     frontier = np.zeros((k, nw), dtype=np.uint64)

@@ -282,6 +282,41 @@ def oracle_is_good(sm, v: int, partition) -> bool:
     return len(witnesses) >= 2 * partition.m
 
 
+def mask_loop_good_vertices(sm, partition) -> np.ndarray:
+    """Goodness of every vertex from the open-neighbour masks, one
+    nv-long pass per pair a1 < a2 of A coordinates, counting the witness
+    v ^ 2^a1 ^ 2^a2 when the 2-path through v ^ 2^a1 or the one through
+    v ^ 2^a2 is open: the array build that the open-bit planes replaced,
+    kept as their equality oracle.  Absent vertices have mask 0."""
+    masks = sm.open_neighbor_masks_array()
+
+    def across(a: int) -> np.ndarray:
+        # masks[v ^ 2^a] for every v, by swapping the halves of axis a
+        return masks.reshape(-1, 2, 1 << a)[:, ::-1].ravel()
+
+    witnesses = np.zeros(len(masks), dtype=np.int32)
+    for a1, a2 in itertools.combinations(partition.a_coords, 2):
+        via1 = (masks >> a1) & (across(a1) >> a2)
+        via2 = (masks >> a2) & (across(a2) >> a1)
+        witnesses += (via1 | via2) & 1
+    return witnesses >= 2 * partition.m
+
+
+def mask_loop_good_map(sm, partition):
+    """The good map from `mask_loop_good_vertices`, one np.where pass per
+    B coordinate, highest first, so the lowest good candidate wins; a
+    FailureReport lists every x with none."""
+    nv = sm.shape.vertex_count
+    good = mask_loop_good_vertices(sm, partition)
+    x = np.arange(nv, dtype=np.int64)
+    image = np.full(nv, -1, dtype=np.int64)
+    for b in sorted(partition.b_coords, reverse=True):
+        cand = x ^ (1 << b)
+        image = np.where(good[cand], cand, image)
+    bad = np.flatnonzero(image < 0)
+    return FailureReport(bad) if len(bad) else VertexMap(image)
+
+
 def oracle_good_map(sm, partition):
     """The good map by a scan over source vertices: each x takes the
     first good x ^ (1 << b) over ascending B coordinates, goodness

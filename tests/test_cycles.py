@@ -182,6 +182,17 @@ class TestImageWalk:
             want = min(nx.all_shortest_paths(g, walk.vertices[a], walk.vertices[b]))
             assert list(walk.vertices[a : b + 1]) == want
 
+    @pytest.mark.parametrize("bad", [-1, 256, -256])
+    def test_images_outside_the_cube_raise(self, bad):
+        # -1 and -256 once died in min() on an empty sequence, 256 with
+        # IndexError
+        sm = sample(CubeShape(8), PercModel.bond(0.9), 3)
+        image = np.arange(256)
+        image[3] = bad
+        cyc = geodesic_cycle(CubeShape(8), 0, (0, 1))
+        with pytest.raises(ValueError, match=rf"vertex {bad} is outside the cube \[0, 2\^8\)"):
+            image_walk(VertexMap(image), cyc, sm)
+
     def test_disconnected_images_raise(self):
         sm = sample(CubeShape(2), PercModel.bond(0.0), 0)
         cyc = geodesic_cycle(CubeShape(2), 0, (0, 1))

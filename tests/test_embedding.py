@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MODEL_KINDS, oracle_good_map, oracle_is_good, perc_model
+from conftest import (
+    MODEL_KINDS,
+    mask_loop_good_map,
+    mask_loop_good_vertices,
+    oracle_good_map,
+    oracle_is_good,
+    perc_model,
+)
 from cubeperc.embedding import (
     FailureReport,
     _good_vertices,
@@ -19,6 +26,7 @@ from cubeperc.embedding import (
 )
 from cubeperc.errors import GiantTooSmall
 from cubeperc.hypercube import (
+    CoordinatePartition,
     CubeShape,
     NeighborRetraceSpec,
     enumerate_paths,
@@ -203,6 +211,66 @@ class TestGoodMapOracle:
                     got = build_good_map(sm, part)
                     assert isinstance(got, FailureReport)
                     assert_same_build(got, oracle_good_map(sm, part))
+
+
+# partitions whose A coordinates reach past 6, where a move across a
+# coordinate swaps runs of words instead of shifting inside each word,
+# and whose B coordinates are not ascending from m
+SCATTERED_PARTITIONS = [
+    CoordinatePartition(16, 1, 5, (6, 8, 10, 12, 14), (0, 3, 7, 11, 15), ((1, 2, 4, 5, 9),), (13,)),
+    CoordinatePartition(16, 1, 5, (15, 1, 9, 3, 7), (14, 12, 10, 6, 0), ((2, 4, 5, 8, 11),), (13,)),
+]
+
+
+class TestPlanesMatchMaskLoop:
+    """`_good_vertices` and `build_good_map` on the open-bit planes
+    against the mask-loop build, bit for bit."""
+
+    @staticmethod
+    def assert_matches(sm, part):
+        good = _good_vertices(sm, part)
+        want = mask_loop_good_vertices(sm, part)
+        assert good.dtype == want.dtype == bool
+        assert np.array_equal(good, want)
+        built = build_good_map(sm, part)
+        assert_same_build(built, mask_loop_good_map(sm, part))
+        return built
+
+    @pytest.mark.parametrize(
+        "model",
+        [PercModel.site(0.99), PercModel.site(0.995), PercModel.mixed(0.97, 0.995), PercModel.mixed(0.99, 0.99)],
+        ids=["site-0.99", "site-0.995", "mixed-0.97-0.995", "mixed-0.99-0.99"],
+    )
+    def test_n16_several_a_coordinates(self, model):
+        # m = 5: site 0.995 builds, the others leave one or two bad
+        part = n16_partition()
+        for seed in range(2):
+            self.assert_matches(sample(CubeShape(16), model, seed), part)
+
+    @pytest.mark.parametrize("part", SCATTERED_PARTITIONS, ids=["a-high", "a-mixed"])
+    @pytest.mark.parametrize(
+        "model", [PercModel.site(0.99), PercModel.mixed(0.99, 0.995)], ids=["site", "mixed"]
+    )
+    def test_scattered_coordinates(self, model, part):
+        for seed in range(2):
+            self.assert_matches(sample(CubeShape(16), model, seed), part)
+
+    def test_n20_mixed_builds(self):
+        # m = 6
+        shape = CubeShape(20)
+        part = make_partition(shape, 0.01)
+        assert part.m == 6
+        built = self.assert_matches(sample(shape, PercModel.mixed(0.97, 0.995), 0), part)
+        assert isinstance(built, VertexMap)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_single_a_coordinate(self, kind):
+        # m = 1 names no witness pair, so every vertex is bad
+        part = make_partition(CubeShape(16), 0.3)
+        assert part.m == 1
+        sm = sample(CubeShape(16), perc_model(kind, 16**-0.3), 4)
+        built = self.assert_matches(sm, part)
+        assert len(built) == 1 << 16
 
 
 class TestAnalyticMoments:

@@ -169,6 +169,15 @@ def test_distance_field_rejects_vertices_outside_the_cube(v):
         field.distance(v)
 
 
+@pytest.mark.parametrize("v", [-1, 256, -256])
+def test_distances_reject_sources_outside_the_cube(v):
+    # -1 once read vertex 255's row and 256 died with IndexError
+    sm = sample(CubeShape(8), PercModel.bond(0.9), 3)
+    for sources in ([0, v, 300], v):
+        with pytest.raises(ValueError, match=rf"vertex {v} is outside the cube \[0, 2\^8\)"):
+            metrics._distances(sm, sources)
+
+
 class TestDistances:
     """`_distances` against scipy's `dijkstra` bit for bit, in each step
     mode of the kernel."""

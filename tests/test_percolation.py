@@ -245,6 +245,25 @@ def test_masks_array_matches_oracle(model, n):
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 6, 7, 12))
+def test_open_bit_planes_match_masks(model, n):
+    # n < 4 reads draws that start inside a byte, n < 6 pads one word,
+    # rows 0 to 2 spread their draw bytes and the rest copy them
+    sm = sample(CubeShape(n), model, 5 + n)
+    nv = sm.shape.vertex_count
+    planes = sm.open_bit_planes()
+    assert planes.dtype == np.uint64 and planes.shape == (n, -(-nv // 64))
+    bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
+    masks = oracle_masks(sm)
+    for c in range(n):
+        assert np.array_equal(bits[c, :nv], masks >> c & 1), c
+    assert not bits[:, nv:].any()
+    assert sm.open_bit_planes() is planes
+    back = deserialize(sm.serialize())
+    assert back.open_bit_planes().tobytes() == planes.tobytes()
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
 @pytest.mark.parametrize("n", (1, 2, 5, 9))
 def test_edge_endpoints_match_oracle(model, n):
     # per coordinate, the ascending lower ends of the open edges and
