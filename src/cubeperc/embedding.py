@@ -37,6 +37,7 @@ from .percolation import (
     _mix64_array,
     draws_below,
     flip_across,
+    unpack_vertices,
     vertex_draw_offset,
 )
 
@@ -90,14 +91,9 @@ def _good_bits(sample: PercolationSample, partition: CoordinatePartition) -> np.
     return above | equal
 
 
-def _unpacked(words: np.ndarray, nv: int) -> np.ndarray:
-    """The first nv bits of packed vertex words, one uint8 0 or 1 each."""
-    return np.unpackbits(words.view(np.uint8), count=nv, bitorder="little")
-
-
 def _good_vertices(sample: PercolationSample, partition: CoordinatePartition) -> np.ndarray:
     """Goodness of every vertex, one bool each: `_good_bits` unpacked."""
-    return _unpacked(_good_bits(sample, partition), sample.shape.vertex_count).view(bool)
+    return unpack_vertices(_good_bits(sample, partition), sample.shape.vertex_count).view(bool)
 
 
 def build_good_map(
@@ -128,12 +124,12 @@ def build_good_map(
         for s, bits in enumerate(lowest_bits):
             if b >> s & 1:
                 bits |= first
-    bad = np.flatnonzero(_unpacked(~matched, nv))
+    bad = np.flatnonzero(unpack_vertices(~matched, nv))
     if len(bad):
         return FailureReport(bad)
     lowest = np.zeros(nv, dtype=np.uint8)
     for s, bits in enumerate(lowest_bits):
-        lowest |= _unpacked(bits, nv) << np.uint8(s)
+        lowest |= unpack_vertices(bits, nv) << np.uint8(s)
     image = np.left_shift(1, lowest, dtype=np.int64)
     # image ^= x, as its high bits (a column per row) and its low bits (a
     # row), so no nv-long index array is made

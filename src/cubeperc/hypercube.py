@@ -164,6 +164,7 @@ def geodesic_cycle(shape: CubeShape, v: int, coords: Sequence[int]) -> list[int]
     Returned as a vertex list of length 2l+1 whose last entry repeats the
     first.  Cycle distance between positions equals Hamming distance.
     """
+    shape.check_vertex(v)
     l = len(coords)
     if not (2 <= l <= shape.n):
         raise InvalidSpec(f"need 2 <= l <= n coordinates, got l={l}")

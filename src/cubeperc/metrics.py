@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, GiantTooSmall, SourceAbsent, TooLarge
 from .hypercube import CubeShape, flip_neighbors, hamming
-from .percolation import _IN_WORD, CounterStream, PercolationSample
+from .percolation import _IN_WORD, CounterStream, PercolationSample, flip_across, unpack_vertices
 
 EXACT_CAP_DEFAULT = 12
 BRUTE_FORCE_CAP = 3
@@ -74,11 +74,11 @@ def _csr(edges, size: int) -> csr_matrix:
 # of its frontier (the sparse step) while they number fewer than this
 # share of k nw + 4096; a larger level moves every word (the dense step).
 # Forcing one step on every level of bond searches at p = n^-alpha put
-# the break-even at 450 of 1024 words for one search at n = 16, 1.8 K of
-# 16 K at n = 20, 1.2 K of 4 K for 64 searches at n = 12, 7.3 K of 64 K
-# at n = 16, 18 K of 128 K for 8 searches at n = 20 and 53 K of 256 K for
-# all 4096 sources at n = 12: near an eighth of the words, plus the
-# dense step's fixed calls at small k nw
+# the break-even for one search at 616 of 1024 words at n = 16 and near
+# 2.4 K of 16 K at n = 20, where the rule says 640 and 2560.  From all
+# vertices it lies higher, at 5.6 K of 16 K (n = 10) and 84 K of 256 K
+# (n = 12), but a share of 1/4 gained those runs only 3 to 6 % and cost
+# one search 8 to 15 % at n = 16 and 20
 _SPARSE_SHARE = 1 / 8
 
 
@@ -88,28 +88,24 @@ def _bfs_bits(sample: PercolationSample, sources):
     the cube raises ValueError.
 
     Multi-source BFS (Then et al., VLDB 2014): row i of a (k, nw) uint64
-    array, nw = ceil(nv / 64) (one padded word when n < 6), is the
-    frontier of the search from sources[i], vertex v at bit v % 64 of
-    word v // 64, so all k searches advance one level per step with the
-    same numpy calls.  Yields (level, frontier) from level 0, the
-    sources, until no search reaches a new vertex: frontier holds the
-    bits of the vertices each search first reaches at this level.  The
-    next level overwrites it.
+    array is the frontier of the search from sources[i] as a packed
+    vertex set (`percolation.flip_across`), so all k searches advance one
+    level per step with the same numpy calls.  Yields (level, frontier)
+    from level 0, the sources, until no search reaches a new vertex:
+    frontier holds the bits of the vertices each search first reaches at
+    this level.  The next level overwrites it.
 
-    A step moves the frontier across every coordinate c and ORs it into
-    the next frontier.  lo[c] and hi[c] hold the lower and the upper ends
-    of c's open edges, split from the cached plane of c (whose run
-    swaps take both at once for c >= 10), so the frontier ANDed with
-    lo[c] moves 2^c vertices up and ANDed with hi[c] 2^c down: by a shift
-    inside each word for c < 6, by 2^(c-6) words for c >= 6.  A search's
-    nw words hold whole aligned runs of 2^(c-5) words, so a move never
-    leaves the search's own row, and the flat k nw words move as one.
+    Plane c has both ends of each open edge along c set, so the frontier
+    ANDed with plane c and moved across c is the set it reaches along c.
     Each level picks its step by the size of its frontier, as
     direction-optimizing BFS does (Beamer et al., SC 2012): the dense
     step moves every word with whole-array calls, one coordinate at a
     time; the sparse step, taken while the frontier has fewer than
-    _SPARSE_SHARE of k nw + 4096 nonzero words, gathers those words and
-    their open ends and moves them along every coordinate at once.
+    _SPARSE_SHARE of k nw + 4096 nonzero words, gathers those words' open
+    bits and moves them along every coordinate at once: by one shift
+    inside each word for c < 6, to the word 2^(c-6) away for c >= 6.  A
+    search's nw words hold whole aligned runs of 2^(c-5) words, so a move
+    never leaves the search's own row.
     """
     n, nv = sample.shape.n, sample.shape.vertex_count
     sources = np.asarray(sources, dtype=np.int64)
@@ -118,20 +114,7 @@ def _bfs_bits(sample: PercolationSample, sources):
         sample.shape.check_vertex(int(sources[outside[0]]))
     planes = sample.open_bit_planes()
     k, nw = len(sources), planes.shape[1]
-    # ends[0, c] and ends[1, c]: the lower and the upper ends of c's open
-    # edges
-    ends = np.empty((2, n, nw), dtype=np.uint64)
-    lo, hi = ends
-    lo[:] = planes
-    for c in range(n):
-        if c < 6:
-            lo[c] &= _IN_WORD[c]
-        else:
-            lo[c].reshape(-1, 2, 1 << (c - 6))[:, 1] = 0
-    np.bitwise_xor(planes, lo, out=hi)
-    # both ends at once, for the coordinates whose halves the dense step
-    # swaps whole
-    both = planes[10:]
+    in_word = _IN_WORD[: min(n, 6), None]
     shifts = np.left_shift(np.uint64(1), np.arange(min(n, 6), dtype=np.uint64))[:, None]
     jumps = np.left_shift(1, np.arange(n - min(n, 6)))[:, None]
     frontier = np.zeros((k, nw), dtype=np.uint64)
@@ -144,40 +127,24 @@ def _bfs_bits(sample: PercolationSample, sources):
         yield level, frontier
         level += 1
         nxt.fill(0)
-        flat, out, tmp = frontier.reshape(-1), nxt.reshape(-1), moved.reshape(-1)
+        out = nxt.reshape(-1)
         if len(live) < _SPARSE_SHARE * (k * nw + 4096):
-            # each word's open ends, by its place in its search (take's
+            # each word's open bits, by its place in its search (take's
             # mode="wrap" did the same 500 times slower)
-            moves = ends.take(live & (nw - 1), axis=2)
-            moves &= flat[live]
-            # moves inside a word stay in it, so one plain store; a word
+            moves = planes.take(live & (nw - 1), axis=1)
+            moves &= frontier.reshape(-1)[live]
+            # moves inside a word stay in it, so one plain store of
+            # `flip_across` for every c < 6 at once (six calls took one
+            # search at n = 8 and 12 about 1.5 times as long); a word
             # 2^(c-6) away can be two words' target for two c, hence the
             # unbuffered OR
-            moves[0, :6] <<= shifts
-            moves[1, :6] >>= shifts
-            out[live] = np.bitwise_or.reduce(moves[:, :6], axis=(0, 1))
-            np.bitwise_or.at(out, live ^ jumps, moves[0, 6:] | moves[1, 6:])
+            inside = ((moves[:6] & in_word) << shifts) | ((moves[:6] >> shifts) & in_word)
+            out[live] = np.bitwise_or.reduce(inside, axis=0)
+            np.bitwise_or.at(out, live ^ jumps, moves[6:])
         else:
-            for c in range(n):
-                if c < 6:
-                    shift = np.uint64(1 << c)
-                    np.bitwise_and(frontier, lo[c], out=moved)
-                    nxt |= np.left_shift(moved, shift, out=moved)
-                    np.bitwise_and(frontier, hi[c], out=moved)
-                    nxt |= np.right_shift(moved, shift, out=moved)
-                elif c < 10:
-                    jump = 1 << (c - 6)
-                    np.bitwise_and(frontier, lo[c], out=moved)
-                    out[jump:] |= tmp[:-jump]
-                    np.bitwise_and(frontier, hi[c], out=moved)
-                    out[:-jump] |= tmp[jump:]
-                else:
-                    # runs of 16 words or more swap as the halves of the
-                    # middle axis, both ends in one pass; shorter runs
-                    # iterate two to three times slower than the shifts
-                    np.bitwise_and(frontier, both[c - 10], out=moved)
-                    halves = out.reshape(-1, 2, 1 << (c - 6))
-                    np.bitwise_or(halves, tmp.reshape(halves.shape)[:, ::-1], out=halves)
+            for c, plane in enumerate(planes):
+                np.bitwise_and(frontier, plane, out=moved)
+                nxt |= flip_across(moved, c)
         nxt &= unvisited
         unvisited ^= nxt
         # nonzero on the words themselves took five times as long
@@ -203,12 +170,10 @@ def _reach(sample: PercolationSample, sources) -> np.ndarray:
         for b, plane in enumerate(planes):
             if depth >> b & 1:
                 plane |= frontier
-    reach = np.zeros((len(sources), sample.shape.vertex_count), dtype=np.min_scalar_type(depth))
+    nv = sample.shape.vertex_count
+    reach = np.zeros((len(sources), nv), dtype=np.min_scalar_type(depth))
     for b, plane in enumerate(planes):
-        # bit j of a little-endian word is vertex 64 w + j; the padding
-        # past nv (n < 6) is dropped
-        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=reach.shape[1], bitorder="little")
-        reach |= np.left_shift(bits, b, dtype=reach.dtype)
+        reach |= np.left_shift(unpack_vertices(plane, nv), b, dtype=reach.dtype)
     return reach
 
 
@@ -470,6 +435,8 @@ class VertexMap:
         self.image = np.asarray(self.image, dtype=np.int64)
 
     def __getitem__(self, v: int) -> int:
+        """The image of v; a v outside the cube raises ValueError."""
+        CubeShape(len(self.image).bit_length() - 1).check_vertex(v)
         return int(self.image[v])
 
     def __len__(self) -> int:

@@ -54,10 +54,12 @@ FORMAT_VERSION = 1
 _CHUNK = 1 << 15
 
 # a set of vertices packs into ceil(nv / 64) uint64 words, vertex v at bit
-# v % 64 of word v // 64, so the edges along a coordinate c < 6 join bits
-# of one word: _IN_WORD[c] holds the bits with bit c of their position
-# clear, the lower ends of those edges
-_IN_WORD = [np.uint64(sum(1 << b for b in range(64) if not b >> c & 1)) for c in range(6)]
+# v % 64 of word v // 64 (padding past nv zero), so the edges along a
+# coordinate c < 6 join bits of one word: _IN_WORD[c] holds the bits with
+# bit c of their position clear, the lower ends of those edges.  This
+# module alone knows the format: `flip_across` moves sets, and
+# `unpack_vertices` unpacks them.
+_IN_WORD = np.array([sum(1 << b for b in range(64) if not b >> c & 1) for c in range(6)], dtype=np.uint64)
 
 
 def flip_across(words: np.ndarray, c: int) -> np.ndarray:
@@ -70,6 +72,12 @@ def flip_across(words: np.ndarray, c: int) -> np.ndarray:
         return ((words & _IN_WORD[c]) << shift) | ((words >> shift) & _IN_WORD[c])
     runs = words.reshape(*words.shape[:-1], -1, 2, 1 << (c - 6))
     return runs[..., ::-1, :].reshape(words.shape)
+
+
+def unpack_vertices(words: np.ndarray, nv: int) -> np.ndarray:
+    """Packed vertex sets (the last axis holding one set's words) as one
+    uint8 0 or 1 per vertex, the padding past nv dropped."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=nv, bitorder="little")
 
 
 def _spread(draw: np.ndarray, c: int) -> np.ndarray:
@@ -272,51 +280,43 @@ class PercolationSample:
         skip = start - (lo << 3)
         return bits[skip : skip + count].view(bool)
 
-    def _open_slices(
+    def open_edge_endpoints(
         self, coords: Optional[range] = None, start: int = 0, size: Optional[int] = None
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Per coordinate c in coords (all by default), c and the open edges
-        along c with both ends in the vertex window [start, start + size)
-        (the whole cube by default), as a boolean (size / 2^(c+1), 1, 2^c)
-        array indexed [i, 0, j] by window-local compressed base id
-        i * 2^c + j.  The window vertices viewed as (size / 2^(c+1), 2,
-        2^c) hold that edge's two ends at [i, 0, j] and [i, 1, j].
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per coordinate c in coords (all by default), int32 (base, other)
+        vertex arrays of the open edges along c with both ends in the
+        vertex window [start, start + size) (the whole cube by default),
+        numbered from the window's start: base ascending with bit c
+        clear, other = base + 2^c.  int32 holds every vertex up to the
+        hard cap of n = 30.
 
         size is a power of two, at least 2^(c+1) for every c, and start a
         multiple of it, so the window's edges along c are the size / 2
         draws from compressed id start / 2 on: each window reads only its
-        own bytes of the packed draw, and presence is ANDed in per window."""
+        own bytes of the packed draw, and presence is ANDed in per window,
+        through the window viewed as (size / 2^(c+1), 2, 2^c), which holds
+        the ends of the edge with window-local compressed id i 2^c + j at
+        [i, 0, j] and [i, 1, j]."""
         coords = range(self.shape.n) if coords is None else coords
         size = self.shape.vertex_count if size is None else size
         present = self.present_array()[start : start + size] if self.model.has_site_draws else None
         for c in coords:
-            shape3 = (size >> (c + 1), 2, 1 << c)
-            open_c = self.edge_draw_slice(c, start >> 1, size >> 1).reshape(shape3[0], 1, shape3[2])
+            open_c = self.edge_draw_slice(c, start >> 1, size >> 1)
             if present is not None:
-                ends = present.reshape(shape3)
-                open_c = open_c & ends[:, :1] & ends[:, 1:]
-            yield c, open_c
-
-    def open_edge_endpoints(
-        self, coords: Optional[range] = None, start: int = 0, size: Optional[int] = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per coordinate c in coords, int32 (base, other) vertex arrays of
-        the open edges in the window of `_open_slices`, numbered from the
-        window's start: base ascending with bit c clear, other = base +
-        2^c.  int32 holds every vertex up to the hard cap of n = 30."""
-        for c, open_c in self._open_slices(coords, start, size):
+                ends = present.reshape(-1, 2, 1 << c)
+                open_c = open_c & (ends[:, 0] & ends[:, 1]).reshape(-1)
             comp = np.flatnonzero(open_c).astype(np.int32)
             base = comp + ((comp >> c) << c)  # a 0 inserted at bit c
             yield base, base + (1 << c)
 
     def open_neighbor_masks_array(self) -> np.ndarray:
-        """uint32 per-vertex masks of open incident edges, cached."""
+        """uint32 per-vertex masks of open incident edges, bit c from row c
+        of the open-bit planes, cached."""
         if self._mask_cache is None:
-            masks = np.zeros(self.shape.vertex_count, dtype=np.uint32)
-            for c, open_c in self._open_slices():
-                # both ends of each edge at once, through the paired view
-                ends = masks.reshape(open_c.shape[0], 2, open_c.shape[2])
-                ends |= open_c.astype(np.uint32) << np.uint32(c)
+            nv = self.shape.vertex_count
+            masks = np.zeros(nv, dtype=np.uint32)
+            for c, plane in enumerate(self.open_bit_planes()):
+                masks |= np.left_shift(unpack_vertices(plane, nv), c, dtype=np.uint32)
             self._mask_cache = masks
         return self._mask_cache
 
@@ -355,7 +355,7 @@ class PercolationSample:
         return self._plane_cache
 
     def open_edge_count(self) -> int:
-        return sum(int(np.count_nonzero(open_c)) for _, open_c in self._open_slices())
+        return sum(len(base) for base, _ in self.open_edge_endpoints())
 
     # -- serialization ---------------------------------------------------
 

@@ -193,6 +193,14 @@ class TestImageWalk:
         with pytest.raises(ValueError, match=rf"vertex {bad} is outside the cube \[0, 2\^8\)"):
             image_walk(VertexMap(image), cyc, sm)
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_cycle_vertices_outside_the_cube_raise(self, full3, bad):
+        # the cycle [-1, -2, -4, -3] once walked the images of 7, 6, 4
+        # and 5
+        cyc = [bad, bad ^ 1, bad ^ 3, bad ^ 2]
+        with pytest.raises(ValueError, match=rf"vertex {bad} is outside the cube \[0, 2\^3\)"):
+            image_walk(VertexMap.identity(CubeShape(3)), cyc, full3)
+
     def test_disconnected_images_raise(self):
         sm = sample(CubeShape(2), PercModel.bond(0.0), 0)
         cyc = geodesic_cycle(CubeShape(2), 0, (0, 1))

@@ -164,6 +164,13 @@ def test_geodesic_cycle_examples():
     assert geodesic_cycle(CubeShape(3), 0, (0, 1, 2)) == [0, 1, 3, 7, 6, 4, 0]
 
 
+@pytest.mark.parametrize("v", [-1, 8, 100])
+def test_geodesic_cycle_rejects_start_outside_the_cube(v):
+    # 100 once gave the walk [100, 101, 103, 102, 100]
+    with pytest.raises(ValueError, match=rf"vertex {v} is outside the cube \[0, 2\^3\)"):
+        geodesic_cycle(CubeShape(3), v, (0, 1))
+
+
 def test_geodesic_cycle_rejects_duplicates():
     with pytest.raises(DuplicateCoordinate):
         geodesic_cycle(CubeShape(3), 0, (0, 0))

@@ -169,6 +169,15 @@ def test_distance_field_rejects_vertices_outside_the_cube(v):
         field.distance(v)
 
 
+@pytest.mark.parametrize("v", [-1, 8, -8])
+def test_vertex_map_rejects_vertices_outside_the_cube(v):
+    # -1 once read vertex 7's image and 8 died with IndexError
+    vmap = VertexMap.identity(CubeShape(3))
+    assert [vmap[u] for u in range(8)] == list(range(8))
+    with pytest.raises(ValueError, match=rf"vertex {v} is outside the cube \[0, 2\^3\)"):
+        vmap[v]
+
+
 @pytest.mark.parametrize("v", [-1, 256, -256])
 def test_distances_reject_sources_outside_the_cube(v):
     # -1 once read vertex 255's row and 256 died with IndexError

@@ -1,6 +1,7 @@
 """The package's public surface: `__all__` as `from cubeperc import *`
 sees it, the dependencies it declares, that every public name has a
-reader, and that every package name the benchmark reads exists."""
+reader, that every package name the benchmark reads exists, and that
+one module holds the packed vertex-set format."""
 
 import ast
 import importlib.util
@@ -47,6 +48,18 @@ def test_declared_dependencies_cover_imports():
     third_party = imported - set(sys.stdlib_module_names) - {"cubeperc"}
     assert {"numpy", "scipy"} <= third_party  # the scan reached the package
     assert third_party <= declared_dependencies()
+
+
+def test_packed_vertex_format_stays_in_percolation():
+    # `percolation` alone packs and unpacks vertex sets (`flip_across`,
+    # `unpack_vertices`, the sample's bitsets); a bit order spelled out
+    # anywhere else is a second copy of the format
+    spelled = sorted(
+        path.name
+        for path in (ROOT / "src" / "cubeperc").glob("*.py")
+        if "bitorder=" in path.read_text(encoding="utf-8")
+    )
+    assert spelled == ["percolation.py"]
 
 
 def _defined(stmt) -> set[str]:

@@ -16,9 +16,11 @@ from cubeperc.percolation import (
     PercModel,
     PercolationSample,
     deserialize,
+    flip_across,
     mix64,
     quantize_probability,
     sample,
+    unpack_vertices,
     vertex_draw_offset,
 )
 
@@ -242,6 +244,53 @@ def test_masks_array_matches_oracle(model, n):
     masks = sm.open_neighbor_masks_array()
     assert masks.dtype == np.uint32
     assert np.array_equal(masks, oracle_masks(sm))
+
+
+def read_vertex_bits(words: np.ndarray, nv: int) -> np.ndarray:
+    """Bit v of each packed vertex set as the format states it, bit v % 64
+    of word v // 64, read one Python int at a time."""
+    return np.array([[int(row[v >> 6]) >> (v & 63) & 1 for v in range(nv)] for row in np.atleast_2d(words)])
+
+
+def random_vertex_sets(n: int, k: int, seed: int, padding: bool = False) -> np.ndarray:
+    """k random packed vertex sets over the n-cube, as (k, ceil(nv / 64))
+    uint64 words; the bits past nv (n < 6) are set when padding is."""
+    nv = 1 << n
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**64, size=(k, -(-nv // 64)), dtype=np.uint64)
+    if nv < 64 and not padding:
+        words &= np.uint64((1 << nv) - 1)
+    return words
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_flip_across_moves_every_bit_across_c(n):
+    # bit v of the result is bit v ^ 2^c of the input, for one set and
+    # for a (k, nw) stack of them, and the padding past nv stays zero
+    nv = 1 << n
+    words = random_vertex_sets(n, 3, n)
+    bits = read_vertex_bits(words, 64 * words.shape[1])
+    for c in range(n):
+        want = bits[:, np.arange(nv) ^ (1 << c)]
+        stacked = flip_across(words, c)
+        assert stacked.shape == words.shape and stacked.dtype == np.uint64
+        got = read_vertex_bits(stacked, 64 * words.shape[1])
+        assert np.array_equal(got[:, :nv], want), c
+        assert not got[:, nv:].any(), c
+        assert np.array_equal(flip_across(words[1], c), stacked[1]), c
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unpack_vertices_drops_the_padding(n):
+    # one uint8 0 or 1 per vertex, on the last axis; for n < 6 the set
+    # bits past nv are not read
+    nv = 1 << n
+    words = random_vertex_sets(n, 3, 100 + n, padding=True)
+    want = read_vertex_bits(words, nv)
+    got = unpack_vertices(words, nv)
+    assert got.dtype == np.uint8 and got.shape == (3, nv)
+    assert np.array_equal(got, want)
+    assert np.array_equal(unpack_vertices(words[2], nv), want[2])
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
