@@ -57,8 +57,9 @@ _CHUNK = 1 << 15
 # v % 64 of word v // 64 (padding past nv zero), so the edges along a
 # coordinate c < 6 join bits of one word: _IN_WORD[c] holds the bits with
 # bit c of their position clear, the lower ends of those edges.  This
-# module alone knows the format: `flip_across` moves sets, and
-# `unpack_vertices` unpacks them.
+# module alone knows the format: `flip_across` moves sets,
+# `unpack_vertices` unpacks them, `vertex_ids` lists them and
+# `lower_ends` keeps their vertices with bit c clear.
 _IN_WORD = np.array([sum(1 << b for b in range(64) if not b >> c & 1) for c in range(6)], dtype=np.uint64)
 
 
@@ -78,6 +79,38 @@ def unpack_vertices(words: np.ndarray, nv: int) -> np.ndarray:
     """Packed vertex sets (the last axis holding one set's words) as one
     uint8 0 or 1 per vertex, the padding past nv dropped."""
     return np.unpackbits(words.view(np.uint8), axis=-1, count=nv, bitorder="little")
+
+
+# the nonzero words `vertex_ids` unpacks at a time, one byte per bit:
+# 256 KiB, so the unpacked bits stay in L2
+_ID_WORDS = 1 << 12
+
+
+def vertex_ids(words: np.ndarray) -> np.ndarray:
+    """The ascending int64 ids of the vertices in one packed vertex set
+    (a 1-D array of words).  Only its nonzero words are unpacked,
+    _ID_WORDS of them at a time, so a sparse set over a large cube costs
+    about its own size rather than one byte per vertex."""
+    nonzero = np.flatnonzero(words)
+    parts = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(nonzero), _ID_WORDS):
+        at = nonzero[start : start + _ID_WORDS]
+        bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
+        parts.append(at[bits >> 6] << 6 | bits & 63)
+    return np.concatenate(parts)
+
+
+def lower_ends(words: np.ndarray, c: int) -> np.ndarray:
+    """A copy of one packed vertex set (a 1-D array of words) without
+    its vertices whose bit c is set: of open-bit plane c, the lower ends
+    of the open edges along c.  A mask inside each word for c < 6; for
+    c >= 6 the upper run of each pair of runs of 2^(c-6) words is
+    cleared."""
+    if c < 6:
+        return words & _IN_WORD[c]
+    out = words.copy()
+    out.reshape(-1, 2, 1 << (c - 6))[:, 1] = 0
+    return out
 
 
 def _spread(draw: np.ndarray, c: int) -> np.ndarray:
@@ -320,39 +353,42 @@ class PercolationSample:
             self._mask_cache = masks
         return self._mask_cache
 
-    def open_bit_planes(self) -> np.ndarray:
+    def open_bit_planes(self, cache: bool = True) -> np.ndarray:
         """(n, ceil(nv / 64)) uint64 open-bit planes, cached: bit v of row
         c (packed as in `flip_across`) is set when the edge along c at v
         is open, so the same bit at v ^ 2^c is too.  Bits past nv (n < 6)
-        are zero.  n nv / 8 bytes, 48 MiB at n = 24.
+        are zero.  n nv / 8 bytes, 48 MiB at n = 24.  With cache=False a
+        sample that has none cached builds a copy and does not keep it.
 
         Built from the draw bytes, without the masks: viewed as
         (2^(n-c-1), 2, 2^(c-3)) bytes, both halves of row c >= 3 are the
         packed draw of coordinate c; rows c < 3 spread each draw byte over
         two.  Presence of both ends is ANDed in for site and mixed."""
-        if self._plane_cache is None:
-            n, nv = self.shape.n, self.shape.vertex_count
-            planes = np.zeros((n, -(-nv // 64)), dtype=np.uint64)
-            rows = planes.view(np.uint8)
-            half = nv >> 1
+        if self._plane_cache is not None:
+            return self._plane_cache
+        n, nv = self.shape.n, self.shape.vertex_count
+        planes = np.zeros((n, -(-nv // 64)), dtype=np.uint64)
+        rows = planes.view(np.uint8)
+        half = nv >> 1
+        for c in range(n):
+            if n > 3:
+                draw = self._edge_bits[c * half >> 3 : (c + 1) * half >> 3]
+            else:
+                # below n = 4 a coordinate's draws start inside a byte
+                draw = np.packbits(self.edge_draw_slice(c), bitorder="little")
+            if c < 3:
+                rows[c, : 2 * len(draw)].view("<u2")[:] = _spread(draw, c)
+            else:
+                ends = rows[c, : nv >> 3].reshape(-1, 2, 1 << (c - 3))
+                ends[:] = draw.reshape(-1, 1, 1 << (c - 3))
+        if self.model.has_site_draws:
+            present = np.zeros_like(planes[0])
+            present.view(np.uint8)[: len(self._vertex_bits)] = self._vertex_bits
             for c in range(n):
-                if n > 3:
-                    draw = self._edge_bits[c * half >> 3 : (c + 1) * half >> 3]
-                else:
-                    # below n = 4 a coordinate's draws start inside a byte
-                    draw = np.packbits(self.edge_draw_slice(c), bitorder="little")
-                if c < 3:
-                    rows[c, : 2 * len(draw)].view("<u2")[:] = _spread(draw, c)
-                else:
-                    ends = rows[c, : nv >> 3].reshape(-1, 2, 1 << (c - 3))
-                    ends[:] = draw.reshape(-1, 1, 1 << (c - 3))
-            if self.model.has_site_draws:
-                present = np.zeros_like(planes[0])
-                present.view(np.uint8)[: len(self._vertex_bits)] = self._vertex_bits
-                for c in range(n):
-                    planes[c] &= present & flip_across(present, c)
+                planes[c] &= present & flip_across(present, c)
+        if cache:
             self._plane_cache = planes
-        return self._plane_cache
+        return planes
 
     def open_edge_count(self) -> int:
         return sum(len(base) for base, _ in self.open_edge_endpoints())

@@ -27,13 +27,15 @@ from cubeperc.hypercube import make_partition
 from cubeperc.metrics import (
     DistortionReport,
     VertexMap,
+    _block_components,
     bfs,
     bounded_distance,
     brute_force_min_distortion,
     components,
     evaluate_distortion,
 )
-from cubeperc.percolation import PercModel, PercolationSample, sample
+from cubeperc.harness import cell_model
+from cubeperc.percolation import PercModel, PercolationSample, mix64, sample
 
 perc_case = st.tuples(
     st.integers(2, 6), st.floats(0.1, 0.9), st.integers(0, 2**32)
@@ -328,10 +330,10 @@ class TestComponents:
         assert lab.giant_size == max((len(c) for c in want), default=0)
 
     @staticmethod
-    def assert_matches_one_call(sm, case):
+    def assert_matches_one_call(sm, case, label=components):
         # labels bit for bit, dtype included, and the sizes counted from
         # them over the present vertices
-        lab = components(sm)
+        lab = label(sm)
         want = one_call_labels(sm)
         assert lab.labels.dtype == want.dtype
         assert np.array_equal(lab.labels, want), case
@@ -346,15 +348,16 @@ class TestComponents:
     @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_matches_one_call_labelling(self, kind, block_bits, monkeypatch):
-        # whatever the cut between the block pass and the contracted
-        # pass (None keeps the default)
+        # the block pass, whatever the cut between its first pass and
+        # its contracted levels (None keeps the default); `components`
+        # sweeps most of these samples instead
         if block_bits is not None:
             monkeypatch.setattr(metrics, "_BLOCK_BITS", block_bits)
         for n in (1, 2, 5, 9, 17, 18):
             for p in (n**-0.75, 0.5):
                 for seed in (0, 1):
                     sm = sample(CubeShape(n), perc_model(kind, p), seed)
-                    self.assert_matches_one_call(sm, (n, p, seed))
+                    self.assert_matches_one_call(sm, (n, p, seed), _block_components)
 
     @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -368,7 +371,7 @@ class TestComponents:
         for n in (17, 18, 19):
             for p in (n**-0.75, n**-0.25):
                 sm = sample(CubeShape(n), perc_model(kind, p), 2)
-                self.assert_matches_one_call(sm, (n, p))
+                self.assert_matches_one_call(sm, (n, p), _block_components)
 
     @pytest.mark.parametrize("level_bits", [1, 3])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -377,7 +380,7 @@ class TestComponents:
         monkeypatch.setattr(metrics, "_LEVEL_BITS", level_bits)
         for n in (9, 19):
             sm = sample(CubeShape(n), perc_model(kind, n**-0.5), 4)
-            self.assert_matches_one_call(sm, (n, level_bits))
+            self.assert_matches_one_call(sm, (n, level_bits), _block_components)
 
     @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", ["site", "mixed"])
@@ -395,13 +398,14 @@ class TestComponents:
                 vertex_bits[b * window >> 3 : (b + 1) * window >> 3] = 0
             sm = PercolationSample(drawn.shape, drawn.model, 3, drawn._edge_bits, vertex_bits)
             assert not any(sm.present_array()[b * window : (b + 1) * window].any() for b in empty)
-            self.assert_matches_one_call(sm, (n, empty))
+            self.assert_matches_one_call(sm, (n, empty), _block_components)
 
-    def test_two_pass_labelling_pinned(self):
-        # sha256 of labels, comp_ids and comp_sizes at n = 20, where the
-        # contracted pass runs; recorded with the single-pass labelling
-        sm = sample(CubeShape(20), PercModel.bond(20.0**-0.75), 0)
-        lab = components(sm)
+    @staticmethod
+    def pinned_n20():
+        return sample(CubeShape(20), PercModel.bond(20.0**-0.75), 0)
+
+    @staticmethod
+    def assert_pinned(lab):
         assert (lab.labels.dtype, lab.comp_ids.dtype, lab.comp_sizes.dtype) == (
             np.int32, np.int64, np.int64,
         )
@@ -410,6 +414,14 @@ class TestComponents:
             h.update(arr.tobytes())
         assert h.hexdigest() == "496923cb6f6118323ee1ec879e84084a043d42b23daa09f5314b43ff1acd8b30"
         assert (lab.giant_label, lab.giant_size, lab.n_components) == (0, 877491, 135812)
+
+    def test_two_pass_labelling_pinned(self):
+        # sha256 of labels, comp_ids and comp_sizes at n = 20, where
+        # `components` sweeps the giant and the block pass runs its
+        # contracted levels; recorded with the single-pass labelling
+        sm = self.pinned_n20()
+        self.assert_pinned(components(sm))
+        self.assert_pinned(_block_components(sm))
 
     def test_ids_out_of_smallest_vertex_order_raise(self, monkeypatch):
         # the final ids are taken as label order because scipy numbers
@@ -427,7 +439,7 @@ class TestComponents:
         monkeypatch.setattr(metrics, "_BLOCK_BITS", 2)
         sm = sample(CubeShape(5), PercModel.bond(0.0), 0)
         with pytest.raises(RuntimeError, match="smallest node"):
-            components(sm)
+            _block_components(sm)
         assert len(calls) > 1 and calls[0] == 32
 
     def test_labelling_memory_bounded(self):
@@ -441,8 +453,12 @@ class TestComponents:
             # many components: the whole-cube pass of the high edges and
             # the nv-long tail arrays peaked at 28 MiB, the levels with a
             # block-id map at 17 MiB, the levels on the ids alone at
-            # about 15 MiB
+            # about 15 MiB; the giant sweep writing its component ids
+            # in one piece rather than chunk by chunk at 30 MiB
             (21, 0.75, 22),
+            # no majority component, so the block pass runs after the
+            # sweep (17.1 MiB with the block pass alone)
+            (20, 1.0, 22),
         ]
         for n, alpha, bound_mib in cases:
             sm = sample(CubeShape(n), PercModel.bond(n**-alpha), 0)
@@ -479,6 +495,123 @@ class TestComponents:
             if len(sizes) > 1 and sizes[0] > sizes[1]:
                 wins += 1
         assert wins >= 9
+
+
+def redrawn(bits: np.ndarray, indices, success: bool) -> np.ndarray:
+    """A copy of a packed draw bitset with the draws at indices set to
+    success."""
+    bits = bits.copy()
+    for i in indices:
+        bits[i >> 3] = bits[i >> 3] & ~np.uint8(1 << (i & 7)) | np.uint8(success << (i & 7))
+    return bits
+
+
+class TestGiantSweep:
+    @staticmethod
+    def assert_labelled(sm, case, swept):
+        # the sweep takes the sample or hands it to the block pass, and
+        # `components` matches the single-pass labelling either way
+        assert (metrics._sweep_giant(sm) is not None) == swept, case
+        TestComponents.assert_matches_one_call(sm, case)
+
+    @staticmethod
+    def majority(sm) -> bool:
+        # a component with an open edge holding over half the present
+        # vertices (a lone present vertex has no edge to sweep)
+        size = _block_components(sm).giant_size
+        return size > 1 and 2 * size > sm.present_array().sum()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_sweep_matches_one_call_labelling(self, kind):
+        # n < 6 leaves padding bits past nv in every plane; here the
+        # sweep takes exactly the samples with a majority component
+        swept = 0
+        for n in (*range(1, 10), 17, 18, 19):
+            for alpha in (0.25, 0.5, 0.75):
+                for seed in (0, 1):
+                    sm = sample(CubeShape(n), perc_model(kind, n**-alpha), seed)
+                    majority = self.majority(sm)
+                    self.assert_labelled(sm, (n, alpha, seed), majority)
+                    swept += majority
+        assert swept > 50
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_vertex_0_isolated_or_absent(self, kind):
+        # the giant's label is its smallest reached vertex, vertex 0 a
+        # singleton or absent (-1) outside it
+        swept = 0
+        for n in (*range(1, 10), 17, 18, 19):
+            drawn = sample(CubeShape(n), perc_model(kind, n**-0.25), 5)
+            half = 1 << (n - 1)
+            edges = redrawn(drawn._edge_bits, (c * half for c in range(n)), False)
+            variants = [("isolated", drawn._vertex_bits)]
+            if kind != "bond":
+                variants = [
+                    ("isolated", redrawn(drawn._vertex_bits, [0], True)),
+                    ("absent", redrawn(drawn._vertex_bits, [0], False)),
+                ]
+            for how, vertex_bits in variants:
+                sm = PercolationSample(drawn.shape, drawn.model, 5, edges, vertex_bits)
+                assert not sm.open_neighbor_masks_array()[0]
+                majority = self.majority(sm)
+                self.assert_labelled(sm, (n, how), majority)
+                lab = components(sm)
+                assert lab.labels[0] == (0 if how == "isolated" else -1)
+                swept += majority
+        assert swept >= 9
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 9, 17))
+    def test_no_open_edge_falls_back(self, n):
+        for model in (PercModel.bond(0.0), PercModel.site(0.0), PercModel.mixed(0.0, 0.5)):
+            sm = sample(CubeShape(n), model, 0)
+            self.assert_labelled(sm, (n, model.kind), False)
+
+    def test_source_outside_a_majority_giant_falls_back(self):
+        # the source rule picks a vertex outside the majority giant on
+        # these seeds (5 of seeds 0 to 99), so the block pass labels them
+        for seed in (8, 21, 24, 75, 94):
+            sm = sample(CubeShape(16), PercModel.bond(16.0**-0.85), seed)
+            assert 2 * _block_components(sm).giant_size > sm.shape.vertex_count, seed
+            self.assert_labelled(sm, seed, False)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("n", (2, 8))
+    def test_half_the_present_vertices_fall_back(self, kind, n):
+        # every edge open but those along the top coordinate: two halves,
+        # each exactly half of the present vertices, so no majority; the
+        # tie goes to the smallest label
+        shape = CubeShape(n)
+        edges = np.zeros((shape.edge_count + 7) // 8, dtype=np.uint8)
+        edges[: (n - 1) << (n - 1) >> 3] = 0xFF
+        edges[0] |= (1 << ((n - 1) << (n - 1))) - 1 & 0xFF
+        vertex_bits = None if kind == "bond" else np.full(-(-shape.vertex_count // 8), 0xFF, np.uint8)
+        sm = PercolationSample(shape, perc_model(kind, 0.5), 0, edges, vertex_bits)
+        self.assert_labelled(sm, (n, kind), False)
+        lab = components(sm)
+        assert lab.n_components == 2 and lab.giant_size == 1 << (n - 1) and lab.giant_label == 0
+
+    def test_planes_left_as_found(self):
+        # the sweep builds its own planes when none are cached, and the
+        # cached ones stay the same object
+        sm = sample(CubeShape(12), PercModel.bond(12.0**-0.5), 0)
+        components(sm)
+        assert sm._plane_cache is None
+        planes = sm.open_bit_planes()
+        components(sm)
+        assert sm._plane_cache is planes
+
+    def test_gate_3_cells_and_the_pin_take_the_sweep(self, monkeypatch):
+        # gate 3's n = 20 samples and the pinned one all have a majority
+        # giant, so the block pass never runs on them
+        def no_block_pass(sm):
+            raise AssertionError("the block pass ran")
+
+        monkeypatch.setattr(metrics, "_block_components", no_block_pass)
+        for alpha in (0.25, 0.75):
+            for j in range(10):
+                sm = sample(CubeShape(20), cell_model("bond", 20, alpha), mix64(0, j))
+                assert components(sm).giant_size > 1 << 19, (alpha, j)
+        TestComponents.assert_pinned(components(TestComponents.pinned_n20()))
 
 
 class TestEvaluateDistortion:

@@ -17,11 +17,13 @@ from cubeperc.percolation import (
     PercolationSample,
     deserialize,
     flip_across,
+    lower_ends,
     mix64,
     quantize_probability,
     sample,
     unpack_vertices,
     vertex_draw_offset,
+    vertex_ids,
 )
 
 M64 = (1 << 64) - 1
@@ -293,6 +295,40 @@ def test_unpack_vertices_drops_the_padding(n):
     assert np.array_equal(unpack_vertices(words[2], nv), want[2])
 
 
+@pytest.mark.parametrize("id_words", [1, 3, percolation._ID_WORDS])
+@pytest.mark.parametrize("n", (*range(1, 13), 19))
+def test_vertex_ids_list_the_set(n, id_words, monkeypatch):
+    # ascending int64 ids, for dense sets, sparse ones with whole zero
+    # words, the empty set and the full one, whatever the number of
+    # words unpacked at a time (n = 19 has twice the default's words)
+    monkeypatch.setattr(percolation, "_ID_WORDS", id_words)
+    nv = 1 << n
+    dense = random_vertex_sets(n, 3, 200 + n)
+    sparse = dense[0] & dense[1] & dense[2]
+    sparse[::3] = 0
+    full = np.full_like(sparse, (1 << min(nv, 64)) - 1)
+    for words in (*dense, sparse, np.zeros_like(sparse), full):
+        got = vertex_ids(words)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.flatnonzero(unpack_vertices(words, nv)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lower_ends_keep_the_vertices_with_bit_c_clear(n):
+    # the input is not written, and the padding past nv stays zero
+    nv = 1 << n
+    for words in random_vertex_sets(n, 3, 300 + n):
+        before = words.copy()
+        bits = unpack_vertices(words, nv)
+        for c in range(n):
+            got = lower_ends(words, c)
+            assert got.shape == words.shape and got.dtype == np.uint64
+            assert np.array_equal(words, before), c
+            want = np.flatnonzero(bits & (np.arange(nv) >> c & 1 == 0))
+            assert np.array_equal(np.flatnonzero(unpack_vertices(got, nv)), want), c
+            assert not read_vertex_bits(got, 64 * len(words))[:, nv:].any(), c
+
+
 @pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
 @pytest.mark.parametrize("n", (1, 2, 3, 5, 6, 7, 12))
 def test_open_bit_planes_match_masks(model, n):
@@ -308,8 +344,11 @@ def test_open_bit_planes_match_masks(model, n):
         assert np.array_equal(bits[c, :nv], masks >> c & 1), c
     assert not bits[:, nv:].any()
     assert sm.open_bit_planes() is planes
+    assert sm.open_bit_planes(cache=False) is planes
     back = deserialize(sm.serialize())
-    assert back.open_bit_planes().tobytes() == planes.tobytes()
+    copy = back.open_bit_planes(cache=False)
+    assert back._plane_cache is None
+    assert copy.tobytes() == back.open_bit_planes().tobytes() == planes.tobytes()
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
