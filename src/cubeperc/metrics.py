@@ -14,6 +14,7 @@ it measures every pair that the sampled evaluator searches.
 sweep and labels the rest with scipy's `connected_components`, on
 their compacted graph, or with block-wise passes over the whole cube
 when the sweep reaches no more than half of the present vertices.
+Both read the open edges from the planes the sweep built.
 
 Distortion here is the non-symmetric kind: for f mapping the full cube
 into a sample, D+ is the worst stretch max(1, sup d_Y/d_X) and, because
@@ -76,7 +77,9 @@ def _csr(edges, size: int) -> csr_matrix:
     `components` with directed=False: the compacted vertices outside the
     giant, or, in the block pass, a window's vertices at level 0 and its
     components from the level below (window-local ids from 0) at every
-    later level.  float64 data, so no cast copy happens inside scipy."""
+    later level.  float64 data, so no cast copy happens inside scipy;
+    the int64 ids read from the planes are narrowed to int32 by
+    coo_matrix, one window's edges at a time."""
     row, col = map(np.concatenate, zip(*edges))
     return coo_matrix((np.ones(len(row), dtype=np.float64), (row, col)), shape=(size, size)).tocsr()
 
@@ -343,32 +346,17 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     label.
 
     The samples the experiments label mostly have a giant holding most
-    of the cube, so `_sweep_giant` first takes it out with one
-    reachability sweep and labels only the rest (the Multistep scheme of
-    Slota, Rajamanickam & Madduri, IPDPS 2014).  A component holding
-    more than half of the present vertices is the unique largest, so a
-    sweep that reaches more than half has found the giant.  Otherwise
-    (no open edge, or a sweep that reaches half or less) the block pass
-    `_block_components` labels the whole cube; at n = 22, alpha = 1.0
-    one scipy call on the compacted graph of every vertex with an open
-    edge took twice its time and 2.6 times its traced peak.  Both paths
-    give the same labels, ids and sizes, bit for bit, and neither keeps
-    the open-bit planes: a sample that had none cached has none
-    afterwards.
-
-    Traced peaks on fresh bond samples, seed 0: at n = 24 the sweep path
-    peaks at 105 MiB for alpha = 0.75 and 71 MiB for alpha = 0.5 (the
-    block pass 124 and 158 MiB); at n = 20, alpha = 1.0 the fallback
-    peaks at 17.1 MiB, as the block pass alone does.
-    """
-    labeling = _sweep_giant(sample)
-    return _block_components(sample) if labeling is None else labeling
-
-
-def _sweep_giant(sample: PercolationSample) -> Optional[ComponentLabeling]:
-    """The labelling of `components` through the giant, or None when one
-    `_bfs_bits` sweep does not reach more than half of the present
-    vertices.
+    of the cube, so one `_bfs_bits` sweep first takes it out and only the
+    rest is labelled (the Multistep scheme of Slota, Rajamanickam &
+    Madduri, IPDPS 2014).  A component holding more than half of the
+    present vertices is the unique largest, so a sweep that reaches more
+    than half has found the giant.  Otherwise (no open edge, or a sweep
+    that reaches half or less) the block pass `_block_components` labels
+    the whole cube from the same planes; at n = 22, alpha = 1.0 one scipy
+    call on the compacted graph of every vertex with an open edge took
+    twice its time and 2.6 times its traced peak.  Both paths give the
+    same labels, ids and sizes, bit for bit, and neither keeps the
+    open-bit planes: a sample that had none cached has none afterwards.
 
     The sweep only records reachability: it ORs the frontiers into one
     packed set.  It starts from the vertex with the most open edges among
@@ -386,23 +374,29 @@ def _sweep_giant(sample: PercolationSample) -> Optional[ComponentLabeling]:
     and then the component ids, the vertices that label themselves, are
     written _CHUNK vertices at a time into arrays allocated once, after
     the planes are dropped.
+
+    Traced peaks on fresh bond samples, seed 0: at n = 24 the sweep path
+    peaks at 105 MiB for alpha = 0.75 and 71 MiB for alpha = 0.5 (the
+    block pass 124 and 158 MiB); the fallback holds the planes through
+    the block pass, and peaks at 19.7 MiB at n = 20, alpha = 1.0 and
+    77.1 MiB at n = 22.
     """
     n, nv = sample.shape.n, sample.shape.vertex_count
     planes = sample.open_bit_planes(cache=False)
     touched = np.bitwise_or.reduce(planes, axis=0)
-    if not touched.any():
-        return None
-    word = int(touched.nonzero()[0][0])
-    degrees = unpack_vertices(planes[:, word : word + 1].copy(), 64).sum(axis=0)
     reached = np.zeros_like(touched)
-    for _, frontier in _bfs_bits(planes, [64 * word + int(degrees.argmax())]):
-        reached |= frontier[0]
+    if touched.any():
+        word = int(touched.nonzero()[0][0])
+        degrees = unpack_vertices(planes[:, word : word + 1].copy(), 64).sum(axis=0)
+        for _, frontier in _bfs_bits(planes, [64 * word + int(degrees.argmax())]):
+            reached |= frontier[0]
     giant_size = int(np.bitwise_count(reached).sum())
     site = sample.model.has_site_draws
     present = sample.present_array() if site else None
     n_present = int(np.count_nonzero(present)) if site else nv
     if 2 * giant_size <= n_present:
-        return None
+        del touched, reached
+        return _block_components(sample, planes)
     word = int(reached.nonzero()[0][0])
     giant = 64 * word + int(vertex_ids(reached[word : word + 1])[0])
 
@@ -444,22 +438,40 @@ def _sweep_giant(sample: PercolationSample) -> Optional[ComponentLabeling]:
     return ComponentLabeling(labels, comp_ids, comp_sizes, giant)
 
 
-def _block_components(sample: PercolationSample) -> ComponentLabeling:
-    """The labelling of `components` over the whole cube.
+def _window_edges(planes: np.ndarray, coords, start: int, size: int):
+    """Per coordinate c in coords, the int64 (lower, upper) ends of the
+    open edges along c inside the vertex window [start, start + size),
+    numbered from start: lower ascending with bit c clear, upper =
+    lower + 2^c.  size is a power of two, at least 2^(c+1) for every c,
+    and start a multiple of it, so the window is whole words of plane c
+    or, below 64 vertices, a run of one word's bits, shifted down to bit
+    0.  Unpacking the window whole beat `vertex_ids`, which skips zero
+    words, on the block pass's mostly nonzero windows: 26.8 against
+    29.7 ms of reads per fallback at n = 20, alpha = 1.0."""
+    words = planes[:, start >> 6 : (start + size + 63) >> 6]
+    for c in coords:
+        ends = lower_ends(words[c], c) >> np.uint64(start & 63)
+        lower = np.flatnonzero(unpack_vertices(ends, size).view(bool))
+        yield lower, lower + (1 << c)
+
+
+def _block_components(sample: PercolationSample, planes: np.ndarray) -> ComponentLabeling:
+    """The labelling of `components` over the whole cube, from the
+    sample's open-bit planes.
 
     Block-wise cluster relabelling (Hoshen & Kopelman 1976), carried up
     the coordinates one level at a time.  Level 0 labels the edges along
     coordinates below _BLOCK_BITS, which stay inside blocks of
     2^_BLOCK_BITS consecutive vertices, one aligned window of
     2^max(_BLOCK_BITS, 16) vertices at a time (the whole cube for
-    n <= 16): each window reads only its own bytes of the packed draw,
-    labels a window-sized graph with one scipy call and numbers its
-    components, the block ids, after those of the windows before it.
-    An edge along a high coordinate jumps 2^c vertices, so a single DFS
-    over the whole cube misses the cache on most steps; the block pass
-    keeps those misses out of the larger part of the work.  At 2^16
-    vertices a block's int32 labels and the csr rows scipy reads in
-    both directions take about 1 MiB.
+    n <= 16): each window reads its edges from its own words of the
+    planes (`_window_edges`), labels a window-sized graph with one scipy
+    call and numbers its components, the block ids, after those of the
+    windows before it.  An edge along a high coordinate jumps 2^c
+    vertices, so a single DFS over the whole cube misses the cache on
+    most steps; the block pass keeps those misses out of the larger part
+    of the work.  At 2^16 vertices a block's int32 labels and the csr
+    rows scipy reads in both directions take about 1 MiB.
 
     Each later level takes the edges along the next _LEVEL_BITS
     coordinates [lo, hi), in aligned windows of 2^max(hi, 16) vertices
@@ -479,9 +491,11 @@ def _block_components(sample: PercolationSample) -> ComponentLabeling:
     The tail counts sizes per id and names each id by its smallest
     vertex, one chunk of _CHUNK vertices at a time, then turns the ids
     into the labels in place.  A bond sample's labels are the only
-    nv-long array allocated.  At n = 24, alpha = 0.75 the traced peak
-    is 124 MiB (249 MiB with one whole-cube pass of the high edges):
-    the 64 MiB ids and scipy's call on the top level's 2.4 M-node graph.
+    nv-long array allocated; the planes come from the caller, who holds
+    them through the pass.  At n = 24, alpha = 0.75 the traced peak
+    is 124 MiB without the planes (249 MiB with one whole-cube pass of
+    the high edges): the 64 MiB ids and scipy's call on the top level's
+    2.4 M-node graph.
     """
     n, nv = sample.shape.n, sample.shape.vertex_count
     # a bond sample has every vertex, so it skips the presence array
@@ -496,7 +510,7 @@ def _block_components(sample: PercolationSample) -> ComponentLabeling:
     # window j, and firsts[-1] the number of ids
     firsts = [0]
     for start in range(0, nv, size):
-        graph = _csr(sample.open_edge_endpoints(low, start, size), size)
+        graph = _csr(_window_edges(planes, low, start, size), size)
         k, window = connected_components(graph, directed=False)
         np.add(window, firsts[-1], out=raw[start : start + size])
         firsts.append(firsts[-1] + k)
@@ -510,7 +524,7 @@ def _block_components(sample: PercolationSample) -> ComponentLabeling:
             start = j * size
             c0, c1 = firsts[j], firsts[j + step]
             ids = raw[start : start + width]
-            edges = sample.open_edge_endpoints(coords, start, width)
+            edges = _window_edges(planes, coords, start, width)
             contracted = ((ids[a] - c0, ids[b] - c0) for a, b in edges)
             k, lab = connected_components(_csr(contracted, c1 - c0), directed=False)
             lab += ncomp

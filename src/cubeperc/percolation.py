@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def vertex_ids(words: np.ndarray) -> np.ndarray:
     parts = [np.empty(0, dtype=np.int64)]
     for start in range(0, len(nonzero), _ID_WORDS):
         at = nonzero[start : start + _ID_WORDS]
-        bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
+        bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little").view(bool))
         parts.append(at[bits >> 6] << 6 | bits & 63)
     return np.concatenate(parts)
 
@@ -301,46 +301,15 @@ class PercolationSample:
         self._present_cache = out
         return out
 
-    def edge_draw_slice(self, coord: int, first: int = 0, count: Optional[int] = None) -> np.ndarray:
-        """Boolean draw outcomes for the edges along one coordinate with
-        compressed base ids first .. first + count - 1 (all of them by
-        default), indexed from first."""
+    def edge_draw_slice(self, coord: int) -> np.ndarray:
+        """Boolean draw outcomes for the edges along one coordinate,
+        indexed by compressed base id: the packed draw unpacked, which
+        `open_bit_planes` needs only below n = 4, where a coordinate's
+        draws start inside a byte."""
         half = 1 << (self.shape.n - 1)
-        count = half - first if count is None else count
-        start = coord * half + first
-        lo, hi = start >> 3, (start + count + 7) >> 3
-        bits = np.unpackbits(self._edge_bits[lo:hi], bitorder="little")
-        skip = start - (lo << 3)
-        return bits[skip : skip + count].view(bool)
-
-    def open_edge_endpoints(
-        self, coords: Optional[range] = None, start: int = 0, size: Optional[int] = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per coordinate c in coords (all by default), int32 (base, other)
-        vertex arrays of the open edges along c with both ends in the
-        vertex window [start, start + size) (the whole cube by default),
-        numbered from the window's start: base ascending with bit c
-        clear, other = base + 2^c.  int32 holds every vertex up to the
-        hard cap of n = 30.
-
-        size is a power of two, at least 2^(c+1) for every c, and start a
-        multiple of it, so the window's edges along c are the size / 2
-        draws from compressed id start / 2 on: each window reads only its
-        own bytes of the packed draw, and presence is ANDed in per window,
-        through the window viewed as (size / 2^(c+1), 2, 2^c), which holds
-        the ends of the edge with window-local compressed id i 2^c + j at
-        [i, 0, j] and [i, 1, j]."""
-        coords = range(self.shape.n) if coords is None else coords
-        size = self.shape.vertex_count if size is None else size
-        present = self.present_array()[start : start + size] if self.model.has_site_draws else None
-        for c in coords:
-            open_c = self.edge_draw_slice(c, start >> 1, size >> 1)
-            if present is not None:
-                ends = present.reshape(-1, 2, 1 << c)
-                open_c = open_c & (ends[:, 0] & ends[:, 1]).reshape(-1)
-            comp = np.flatnonzero(open_c).astype(np.int32)
-            base = comp + ((comp >> c) << c)  # a 0 inserted at bit c
-            yield base, base + (1 << c)
+        start = coord * half
+        bits = np.unpackbits(self._edge_bits[start >> 3 : (start + half + 7) >> 3], bitorder="little")
+        return bits[start & 7 : (start & 7) + half].view(bool)
 
     def open_neighbor_masks_array(self) -> np.ndarray:
         """uint32 per-vertex masks of open incident edges, bit c from row c
@@ -391,7 +360,8 @@ class PercolationSample:
         return planes
 
     def open_edge_count(self) -> int:
-        return sum(len(base) for base, _ in self.open_edge_endpoints())
+        # an open edge sets its bit at both ends
+        return int(np.bitwise_count(self.open_bit_planes(cache=False)).sum()) // 2
 
     # -- serialization ---------------------------------------------------
 

@@ -79,6 +79,30 @@ def oracle_open_edges(sm):
         yield c, base[keep], other[keep]
 
 
+def draw_window_endpoints(sm, coords, start, size):
+    """The open-edge endpoints as the draw-window reader gave them before
+    the block pass read the open-bit planes: per coordinate c in coords,
+    int32 (base, other) vertex arrays of the open edges along c with both
+    ends in the vertex window [start, start + size), numbered from the
+    window's start, read from the window's bytes of the packed draw with
+    presence ANDed in per window.  size is a power of two, at least
+    2^(c+1) for every c, and start a multiple of it."""
+    present = sm.present_array()[start : start + size] if sm.model.has_site_draws else None
+    for c in coords:
+        # the draws along c with compressed base ids from start / 2 on
+        first, count = c * (1 << (sm.shape.n - 1)) + (start >> 1), size >> 1
+        lo, hi = first >> 3, (first + count + 7) >> 3
+        bits = np.unpackbits(sm._edge_bits[lo:hi], bitorder="little")
+        skip = first - (lo << 3)
+        open_c = bits[skip : skip + count].view(bool)
+        if present is not None:
+            ends = present.reshape(-1, 2, 1 << c)
+            open_c = open_c & (ends[:, 0] & ends[:, 1]).reshape(-1)
+        comp = np.flatnonzero(open_c).astype(np.int32)
+        base = comp + ((comp >> c) << c)  # a 0 inserted at bit c
+        yield base, base + (1 << c)
+
+
 def oracle_masks(sm) -> np.ndarray:
     """The per-vertex open-neighbour masks by the scatter build: set
     bit c at both ends of every open edge along c."""

@@ -21,7 +21,7 @@ from cubeperc.hypercube import (
     hamming,
     make_partition,
 )
-from cubeperc.percolation import PercModel, sample
+from cubeperc.percolation import PercModel, sample, unpack_vertices
 
 
 class TestCubeShape:
@@ -51,15 +51,12 @@ def test_hamming_and_bits():
 
 
 def test_neighbors_examples():
-    # the full cube's open edges, read off the sample's per-coordinate
-    # edge layout, join each vertex to exactly its n Hamming neighbours
+    # the full cube's open edges, read off the sample's open-bit planes,
+    # join each vertex to exactly its n Hamming neighbours
     def neighbors(n, v):
         sm = sample(CubeShape(n), PercModel.bond(1.0), 0)
-        out = set()
-        for base, other in sm.open_edge_endpoints():
-            out.update(int(w) for w in other[base == v])
-            out.update(int(u) for u in base[other == v])
-        return out
+        bits = unpack_vertices(sm.open_bit_planes(), sm.shape.vertex_count)
+        return {v ^ (1 << c) for c in range(n) if bits[c, v]}
 
     assert neighbors(3, 0b000) == {0b001, 0b010, 0b100}
     assert neighbors(1, 0) == {1}

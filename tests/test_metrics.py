@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,6 +288,11 @@ class TestDistances:
                         assert field.dist.tobytes() == expect.tobytes(), (n, p, source, step)
 
 
+def block_pass(sm):
+    """The block pass alone, over the sample's open-bit planes."""
+    return _block_components(sm, sm.open_bit_planes(cache=False))
+
+
 class TestComponents:
     def test_full_cube_single_component(self, full4):
         lab = components(full4)
@@ -357,7 +363,7 @@ class TestComponents:
             for p in (n**-0.75, 0.5):
                 for seed in (0, 1):
                     sm = sample(CubeShape(n), perc_model(kind, p), seed)
-                    self.assert_matches_one_call(sm, (n, p, seed), _block_components)
+                    self.assert_matches_one_call(sm, (n, p, seed), block_pass)
 
     @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -371,7 +377,7 @@ class TestComponents:
         for n in (17, 18, 19):
             for p in (n**-0.75, n**-0.25):
                 sm = sample(CubeShape(n), perc_model(kind, p), 2)
-                self.assert_matches_one_call(sm, (n, p), _block_components)
+                self.assert_matches_one_call(sm, (n, p), block_pass)
 
     @pytest.mark.parametrize("level_bits", [1, 3])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -380,7 +386,7 @@ class TestComponents:
         monkeypatch.setattr(metrics, "_LEVEL_BITS", level_bits)
         for n in (9, 19):
             sm = sample(CubeShape(n), perc_model(kind, n**-0.5), 4)
-            self.assert_matches_one_call(sm, (n, level_bits), _block_components)
+            self.assert_matches_one_call(sm, (n, level_bits), block_pass)
 
     @pytest.mark.parametrize("block_bits", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", ["site", "mixed"])
@@ -398,7 +404,7 @@ class TestComponents:
                 vertex_bits[b * window >> 3 : (b + 1) * window >> 3] = 0
             sm = PercolationSample(drawn.shape, drawn.model, 3, drawn._edge_bits, vertex_bits)
             assert not any(sm.present_array()[b * window : (b + 1) * window].any() for b in empty)
-            self.assert_matches_one_call(sm, (n, empty), _block_components)
+            self.assert_matches_one_call(sm, (n, empty), block_pass)
 
     @staticmethod
     def pinned_n20():
@@ -421,7 +427,7 @@ class TestComponents:
         # contracted levels; recorded with the single-pass labelling
         sm = self.pinned_n20()
         self.assert_pinned(components(sm))
-        self.assert_pinned(_block_components(sm))
+        self.assert_pinned(block_pass(sm))
 
     def test_ids_out_of_smallest_vertex_order_raise(self, monkeypatch):
         # the final ids are taken as label order because scipy numbers
@@ -439,7 +445,7 @@ class TestComponents:
         monkeypatch.setattr(metrics, "_BLOCK_BITS", 2)
         sm = sample(CubeShape(5), PercModel.bond(0.0), 0)
         with pytest.raises(RuntimeError, match="smallest node"):
-            _block_components(sm)
+            block_pass(sm)
         assert len(calls) > 1 and calls[0] == 32
 
     def test_labelling_memory_bounded(self):
@@ -454,10 +460,13 @@ class TestComponents:
             # the nv-long tail arrays peaked at 28 MiB, the levels with a
             # block-id map at 17 MiB, the levels on the ids alone at
             # about 15 MiB; the giant sweep writing its component ids
-            # in one piece rather than chunk by chunk at 30 MiB
-            (21, 0.75, 22),
+            # in one piece rather than chunk by chunk at 30 MiB.  The
+            # sweep peaks at 13.8 MiB; a reference to its 5.25 MiB of
+            # planes kept past their free would break this bound
+            (21, 0.75, 16),
             # no majority component, so the block pass runs after the
-            # sweep (17.1 MiB with the block pass alone)
+            # sweep on its planes (17.1 MiB with the block pass alone
+            # reading the draw bytes, 19.7 MiB with the planes held)
             (20, 1.0, 22),
         ]
         for n, alpha, bound_mib in cases:
@@ -509,16 +518,22 @@ def redrawn(bits: np.ndarray, indices, success: bool) -> np.ndarray:
 class TestGiantSweep:
     @staticmethod
     def assert_labelled(sm, case, swept):
-        # the sweep takes the sample or hands it to the block pass, and
-        # `components` matches the single-pass labelling either way
-        assert (metrics._sweep_giant(sm) is not None) == swept, case
-        TestComponents.assert_matches_one_call(sm, case)
+        # the sweep takes the sample or hands its planes to the block
+        # pass, and `components` matches the single-pass labelling either
+        # way
+        with mock.patch.object(metrics, "_block_components", wraps=_block_components) as spy:
+            TestComponents.assert_matches_one_call(sm, case)
+        assert spy.call_count == (not swept), case
+        if not swept:
+            (got, planes), _ = spy.call_args
+            assert got is sm
+            assert planes.tobytes() == sm.open_bit_planes(cache=False).tobytes(), case
 
     @staticmethod
     def majority(sm) -> bool:
         # a component with an open edge holding over half the present
         # vertices (a lone present vertex has no edge to sweep)
-        size = _block_components(sm).giant_size
+        size = block_pass(sm).giant_size
         return size > 1 and 2 * size > sm.present_array().sum()
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -571,7 +586,7 @@ class TestGiantSweep:
         # these seeds (5 of seeds 0 to 99), so the block pass labels them
         for seed in (8, 21, 24, 75, 94):
             sm = sample(CubeShape(16), PercModel.bond(16.0**-0.85), seed)
-            assert 2 * _block_components(sm).giant_size > sm.shape.vertex_count, seed
+            assert 2 * block_pass(sm).giant_size > sm.shape.vertex_count, seed
             self.assert_labelled(sm, seed, False)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -603,7 +618,7 @@ class TestGiantSweep:
     def test_gate_3_cells_and_the_pin_take_the_sweep(self, monkeypatch):
         # gate 3's n = 20 samples and the pinned one all have a majority
         # giant, so the block pass never runs on them
-        def no_block_pass(sm):
+        def no_block_pass(sm, planes):
             raise AssertionError("the block pass ran")
 
         monkeypatch.setattr(metrics, "_block_components", no_block_pass)

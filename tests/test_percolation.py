@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import open_edge_set, oracle_masks
+from conftest import draw_window_endpoints, open_edge_set, oracle_masks
 from cubeperc import percolation
 from cubeperc.errors import BadMagic, LengthMismatch, NotAdjacent, VersionMismatch
 from cubeperc.hypercube import CubeShape
+from cubeperc.metrics import _window_edges
 from cubeperc.percolation import (
     ALWAYS,
     CounterStream,
@@ -355,41 +356,56 @@ def test_open_bit_planes_match_masks(model, n):
 @pytest.mark.parametrize("n", (1, 2, 5, 9))
 def test_edge_endpoints_match_oracle(model, n):
     # per coordinate, the ascending lower ends of the open edges and
-    # their partners across bit c
+    # their partners across bit c, read from the planes
     sm = sample(CubeShape(n), model, 3)
     masks = oracle_masks(sm)
     v = np.arange(sm.shape.vertex_count)
-    for c, (base, other) in enumerate(sm.open_edge_endpoints()):
-        assert base.dtype == other.dtype == np.int32
+    for c, (base, other) in enumerate(_window_edges(sm.open_bit_planes(), range(n), 0, len(v))):
+        assert base.dtype == other.dtype == np.int64
         expect = np.flatnonzero((masks >> c & 1).astype(bool) & (v >> c & 1 == 0))
         assert np.array_equal(base, expect)
         assert np.array_equal(other, expect + (1 << c))
 
 
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+def test_open_edge_count_matches_scalar_api(model):
+    # the plane bits halved, against the open edges that edge_open finds,
+    # for every model: n < 6 pads the planes' one word
+    for n in range(1, 10):
+        sm = sample(CubeShape(n), model, 13 + n)
+        assert sm.open_edge_count() == len(open_edge_set(sm)), n
+        assert sm._plane_cache is None
+
+
 @pytest.mark.parametrize("model", ORACLE_MODELS[:3], ids=ORACLE_IDS[:3])
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 9, 17))
 def test_window_endpoints_match_whole_cube(model, n):
-    # the coordinates below a cut, read one aligned window at a time,
-    # shifted by the window start and joined in window order, are the
-    # whole-cube endpoints; the read of the coordinates from the cut on
-    # is the rest.  At n <= 3 a coordinate's draws start inside a byte
+    # the coordinates below a cut, read from the planes one aligned
+    # window at a time, are the draw-window reader's endpoints, and
+    # shifted by the window start and joined in window order they are
+    # the whole-cube endpoints; the read of the coordinates from the cut
+    # on is the rest.  Windows below 64 vertices lie inside one word,
+    # and at n <= 3 a coordinate's draws start inside a byte
     sm = sample(CubeShape(n), model, 11)
-    whole = list(sm.open_edge_endpoints())
+    planes = sm.open_bit_planes()
     nv = sm.shape.vertex_count
+    whole = list(_window_edges(planes, range(n), 0, nv))
     for cut in range(1, n + 1):
-        high = list(sm.open_edge_endpoints(range(cut, n)))
+        high = list(_window_edges(planes, range(cut, n), 0, nv))
         assert len(high) == n - cut
         for (base, other), (wb, wo) in zip(high, whole[cut:]):
-            assert base.dtype == other.dtype == np.int32
+            assert base.dtype == other.dtype == np.int64
             assert np.array_equal(base, wb) and np.array_equal(other, wo)
         # at n = 17 only windows of 2^14 vertices and up, at most 8 of them
         for bits in range(max(cut, n - 3 if n > 9 else 1), n + 1):
             size = 1 << bits
             low = [[] for _ in range(cut)]
             for start in range(0, nv, size):
-                for c, (base, other) in enumerate(sm.open_edge_endpoints(range(cut), start, size)):
-                    assert base.dtype == other.dtype == np.int32
-                    assert np.array_equal(other, base + (1 << c))
+                got = _window_edges(planes, range(cut), start, size)
+                want = draw_window_endpoints(sm, range(cut), start, size)
+                for c, ((base, other), (rb, ro)) in enumerate(zip(got, want, strict=True)):
+                    assert base.dtype == other.dtype == np.int64
+                    assert np.array_equal(base, rb) and np.array_equal(other, ro), (start, size, c)
                     low[c].append(base + start)
             for c in range(cut):
                 assert np.array_equal(np.concatenate(low[c]), whole[c][0]), (cut, bits, c)
