@@ -4,17 +4,19 @@ components, and metric distortion of vertex maps.
 Open-graph distances come from one BFS kernel, `_bfs_bits`, which runs
 k searches at once, each as one bit per vertex, and reads the open edges
 from a sample's open-bit planes (`open_bit_planes`).  `bfs`
-runs it from one source, and `evaluate_distortion` asks `bfs` whether
-every image is reachable from the first; `_distances` runs it from many
-sources (the exact evaluator, the brute-force search and
-`cycles.image_walk`).  `bounded_distance` is the scalar search for
-single pairs with a cutoff, over the per-vertex open-neighbour masks;
-it measures every pair that the sampled evaluator searches.
-`components` takes the giant out with one `_bfs_bits` reachability
-sweep and labels the rest with scipy's `connected_components`, on
-their compacted graph, or with block-wise passes over the whole cube
-when the sweep reaches no more than half of the present vertices.
-Both read the open edges from the planes the sweep built.
+runs it from one source, and `_distances` from many sources (the exact
+evaluator, the brute-force search and `cycles.image_walk`).
+`_reached` finds only the set a source reaches: the kernel's first
+levels, then `percolation.close_under`.  `evaluate_distortion` asks it
+whether every image is reachable from the first.  `bounded_distance`
+is the scalar search for single pairs with a cutoff, over the
+per-vertex open-neighbour masks; it measures every pair that the
+sampled evaluator searches.  `components` takes the giant out with
+one `_reached` sweep and labels the rest with scipy's
+`connected_components`, on their compacted graph, or with block-wise
+passes over the whole cube when the sweep reaches no more than half of
+the present vertices.  Both read the open edges from the planes the
+sweep built.
 
 Distortion here is the non-symmetric kind: for f mapping the full cube
 into a sample, D+ is the worst stretch max(1, sup d_Y/d_X) and, because
@@ -42,10 +44,12 @@ from .percolation import (
     _IN_WORD,
     CounterStream,
     PercolationSample,
+    close_under,
     flip_across,
     lower_ends,
     unpack_vertices,
     vertex_ids,
+    vertex_ranker,
 )
 
 EXACT_CAP_DEFAULT = 12
@@ -164,6 +168,28 @@ def _bfs_bits(planes: np.ndarray, sources):
         # nonzero on the words themselves took five times as long
         live = (out != 0).nonzero()[0]
         frontier, nxt = nxt, frontier
+
+
+def _reached(planes: np.ndarray, source: int) -> np.ndarray:
+    """The packed set of the vertices that source reaches over the open-bit
+    planes: `_bfs_bits` levels from the source until a frontier holds more
+    than 64 words and 1/64 of the words, then `close_under` the levels'
+    union.  The sparse levels are cheap while the set is small, and once
+    it is wide the closure takes the rest in a few passes of whole-array
+    steps, not one level per step.  From the source alone the closure
+    took 20 passes and 0.47 s at n = 24, alpha = 0.75, against 0.45 s for
+    the levels.  With 64 words or fewer (n <= 12) no frontier passes the
+    switch and the levels run out: there a pass's n steps on a few words
+    cost more than the levels they replace (at n = 12, alpha = 0.75,
+    13 passes took 1.4 ms against 0.84 ms for the levels)."""
+    nw = planes.shape[1]
+    reached = np.zeros(nw, dtype=np.uint64)
+    for _, frontier in _bfs_bits(planes, [source]):
+        reached |= frontier[0]
+        if np.count_nonzero(frontier) > max(nw / 64, 64):
+            close_under(reached, planes)
+            break
+    return reached
 
 
 def _reach(sample: PercolationSample, sources) -> np.ndarray:
@@ -346,7 +372,7 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     label.
 
     The samples the experiments label mostly have a giant holding most
-    of the cube, so one `_bfs_bits` sweep first takes it out and only the
+    of the cube, so one `_reached` sweep first takes it out and only the
     rest is labelled (the Multistep scheme of Slota, Rajamanickam &
     Madduri, IPDPS 2014).  A component holding more than half of the
     present vertices is the unique largest, so a sweep that reaches more
@@ -358,25 +384,29 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     same labels, ids and sizes, bit for bit, and neither keeps the
     open-bit planes: a sample that had none cached has none afterwards.
 
-    The sweep only records reachability: it ORs the frontiers into one
-    packed set.  It starts from the vertex with the most open edges among
-    the 64 vertices of the first nonzero word of the planes' OR, ties
-    going to the lowest; the first vertex with an open edge missed a
-    majority giant in 9 of 100 samples at n = 16, alpha = 0.75, this rule
-    none of 530 at alpha = 0.75 for n = 10 to 20.
+    The sweep only records reachability, as one packed set: the BFS
+    levels until a frontier is wide, then the closure of their union
+    under the planes (0.17 s against 0.36 s for the levels alone at
+    n = 24, alpha = 0.75).  It starts from the vertex with the most open
+    edges among the 64 vertices of the first nonzero word of the planes'
+    OR, ties going to the lowest; the first vertex with an open edge
+    missed a majority giant in 9 of 100 samples at n = 16, alpha = 0.75,
+    this rule none of 530 at alpha = 0.75 for n = 10 to 20.
 
     Every giant vertex is labelled by the giant's smallest vertex, every
     present vertex without an open edge by itself, and the rest, the
     vertices with an open edge outside the giant (about 0.75 M of 16.7 M
     at n = 24, alpha = 0.75), by one scipy call on their compacted graph,
-    read from plane c ANDed with the rest.  Each of their components is
-    named by its smallest member, whatever scipy's numbering.  The labels
-    and then the component ids, the vertices that label themselves, are
-    written _CHUNK vertices at a time into arrays allocated once, after
-    the planes are dropped.
+    read from plane c ANDed with the rest.  An edge end's node is its
+    rank in the rest (`vertex_ranker`): for the 0.45 M edges at n = 24,
+    alpha = 0.75 that took 15 ms, np.searchsorted on the rest's ids
+    62 ms.  Each of their components is named by its smallest member,
+    whatever scipy's numbering.  The labels and then the component ids,
+    the vertices that label themselves, are written _CHUNK vertices at a
+    time into arrays allocated once, after the planes are dropped.
 
     Traced peaks on fresh bond samples, seed 0: at n = 24 the sweep path
-    peaks at 105 MiB for alpha = 0.75 and 71 MiB for alpha = 0.5 (the
+    peaks at 103 MiB for alpha = 0.75 and 67 MiB for alpha = 0.5 (the
     block pass 124 and 158 MiB); the fallback holds the planes through
     the block pass, and peaks at 19.7 MiB at n = 20, alpha = 1.0 and
     77.1 MiB at n = 22.
@@ -384,12 +414,12 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     n, nv = sample.shape.n, sample.shape.vertex_count
     planes = sample.open_bit_planes(cache=False)
     touched = np.bitwise_or.reduce(planes, axis=0)
-    reached = np.zeros_like(touched)
     if touched.any():
         word = int(touched.nonzero()[0][0])
         degrees = unpack_vertices(planes[:, word : word + 1].copy(), 64).sum(axis=0)
-        for _, frontier in _bfs_bits(planes, [64 * word + int(degrees.argmax())]):
-            reached |= frontier[0]
+        reached = _reached(planes, 64 * word + int(degrees.argmax()))
+    else:
+        reached = np.zeros_like(touched)
     giant_size = int(np.bitwise_count(reached).sum())
     site = sample.model.has_site_draws
     present = sample.present_array() if site else None
@@ -404,11 +434,12 @@ def components(sample: PercolationSample) -> ComponentLabeling:
     rest = touched & ~reached
     del touched
     ids = vertex_ids(rest)
+    rank = vertex_ranker(rest)
     edges = []
     for c in range(n):
         lo = vertex_ids(lower_ends(planes[c] & rest, c))
-        edges.append((np.searchsorted(ids, lo), np.searchsorted(ids, lo + (1 << c))))
-    del planes, rest
+        edges.append((rank(lo), rank(lo + (1 << c))))
+    del planes, rest, rank
     k, lab = connected_components(_csr(edges, len(ids)), directed=False)
     del edges
     canon = np.full(k, nv, dtype=np.int64)
@@ -624,10 +655,10 @@ def evaluate_distortion(
     draw than the witness.
 
     An image outside the cube or absent from the sample raises
-    ValueError.  Then one `bfs` from img[0] decides connectivity: every
-    image is present, so an image it does not reach lies in another
-    component, and the report is infinite with the witness (0, the first
-    source vertex whose image is unreached).
+    ValueError.  Then the set img[0] reaches (`_reached`) decides
+    connectivity: every image is present, so an image outside it lies in
+    another component, and the report is infinite with the witness (0,
+    the first source vertex whose image is unreached).
     """
     n = sample.shape.n
     nv = sample.shape.vertex_count
@@ -649,7 +680,8 @@ def evaluate_distortion(
         missing = int(np.nonzero(~present[img])[0][0])
         raise ValueError(f"image of vertex {missing} is not present in the sample")
 
-    unreached = np.flatnonzero(bfs(sample, int(img[0])).dist[img] < 0)
+    reached = unpack_vertices(_reached(sample.open_bit_planes(), int(img[0])), nv)
+    unreached = np.flatnonzero(reached[img] == 0)
     if len(unreached):
         witness = (0, int(unreached[0]))
         return DistortionReport(math.inf, 0.0, math.inf, witness, None, mode, None, infinite=True)

@@ -49,16 +49,18 @@ DEFAULT_DIMENSION_CAP = 26
 FORMAT_MAGIC = b"CPRC"
 FORMAT_VERSION = 1
 
-# draws per vectorized block: small enough that the block's uint64
-# working buffers stay in L2 instead of streaming through memory
+# draws per chunk of `_draw_bitset`: small enough that its table and
+# its reused uint64 buffers (three of 256 KiB) stay in L2 instead of
+# streaming through memory; 2^14 and 2^16 were no faster at n = 22
 _CHUNK = 1 << 15
 
 # a set of vertices packs into ceil(nv / 64) uint64 words, vertex v at bit
 # v % 64 of word v // 64 (padding past nv zero), so the edges along a
 # coordinate c < 6 join bits of one word: _IN_WORD[c] holds the bits with
 # bit c of their position clear, the lower ends of those edges.  This
-# module alone knows the format: `flip_across` moves sets,
-# `unpack_vertices` unpacks them, `vertex_ids` lists them and
+# module alone knows the format: `flip_across` moves sets, `close_under`
+# closes them over the open edges, `unpack_vertices` unpacks them,
+# `vertex_ids` lists them, `vertex_ranker` numbers their vertices and
 # `lower_ends` keeps their vertices with bit c clear.
 _IN_WORD = np.array([sum(1 << b for b in range(64) if not b >> c & 1) for c in range(6)], dtype=np.uint64)
 
@@ -73,6 +75,80 @@ def flip_across(words: np.ndarray, c: int) -> np.ndarray:
         return ((words & _IN_WORD[c]) << shift) | ((words >> shift) & _IN_WORD[c])
     runs = words.reshape(*words.shape[:-1], -1, 2, 1 << (c - 6))
     return runs[..., ::-1, :].reshape(words.shape)
+
+
+# `close_under` closes a set along the coordinates whose edges stay
+# inside aligned windows of this many words one window at a time, so the
+# window's words, its temporary and its plane words (1.5 MiB) stay in
+# L2: at n = 24, alpha = 0.75, 2^14, 2^15, 2^16 and 2^17 words took
+# 243, 209, 191 and 230 ms against 291 ms for whole-array steps
+_CLOSE_WORDS = 1 << 16
+
+
+def _close_along(words: np.ndarray, plane: np.ndarray, tmp: np.ndarray, c: int) -> None:
+    """One step of `close_under` along coordinate c, in place; tmp is
+    a work array of words' length."""
+    if c < 6:
+        shift = np.uint64(1 << c)
+        np.right_shift(words, shift, out=tmp)
+        tmp |= words
+        tmp &= plane
+        tmp &= _IN_WORD[c]
+        words |= tmp
+        tmp <<= shift
+        words |= tmp
+    elif c < 10:
+        d = 1 << (c - 6)
+        t = tmp[:-d]
+        np.bitwise_or(words[:-d], words[d:], out=t)
+        t &= plane[:-d]
+        tmp.reshape(-1, 2, d)[:, 1] = 0
+        words[:-d] |= t
+        words[d:] |= t
+    else:
+        runs = words.reshape(-1, 2, 1 << (c - 6))
+        t = tmp[: len(words) // 2].reshape(-1, 1 << (c - 6))
+        np.bitwise_or(runs[:, 0], runs[:, 1], out=t)
+        t &= plane.reshape(runs.shape)[:, 0]
+        runs[:, 0] |= t
+        runs[:, 1] |= t
+
+
+def close_under(words: np.ndarray, planes: np.ndarray) -> int:
+    """Grow one packed vertex set (a 1-D array of words) in place to every
+    vertex it reaches over the open-bit planes (`open_bit_planes`): the
+    union of the open graph's components it touches.  Returns the passes
+    taken.
+
+    Plane c holds both ends of every open edge along c, so an edge joins
+    the set when either end is in it: t = P_lo & (R_lo | R_hi), then
+    R_lo |= t and R_hi |= t close the set along c in one step.  A pass
+    takes every coordinate in order, and passes repeat until one adds no
+    vertex.  The pairs (R_lo, R_hi) are the halves of runs of 2^(c-6)
+    words for c >= 10; two flat slices 2^(c-6) words apart for
+    6 <= c < 10, the step's upper runs zeroed (in a 2^16-word window at
+    n = 24 the run view of 1 to 8 words took 172 to 842 us per
+    coordinate, the slices 123 to 200 us); the bits 2^c apart inside
+    each word, under _IN_WORD[c], for c < 6.
+    The coordinates whose edges stay inside windows of _CLOSE_WORDS words
+    take their steps window by window, which leaves each pass's result
+    unchanged."""
+    tmp = np.empty_like(words)
+    window = min(_CLOSE_WORDS, len(words))
+    low = min(len(planes), window.bit_length() + 5)
+    size, passes = int(np.bitwise_count(words).sum()), 0
+    while True:
+        passes += 1
+        for start in range(0, len(words), window):
+            part = slice(start, start + window)
+            for c in range(low):
+                _close_along(words[part], planes[c, part], tmp[part], c)
+        for c in range(low, len(planes)):
+            _close_along(words, planes[c], tmp, c)
+        grown = int(np.bitwise_count(words).sum())
+        if grown == size:
+            return passes
+        size = grown
 
 
 def unpack_vertices(words: np.ndarray, nv: int) -> np.ndarray:
@@ -98,6 +174,23 @@ def vertex_ids(words: np.ndarray) -> np.ndarray:
         bits = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little").view(bool))
         parts.append(at[bits >> 6] << 6 | bits & 63)
     return np.concatenate(parts)
+
+
+def vertex_ranker(words: np.ndarray):
+    """For one packed vertex set (a 1-D array of words), a function from
+    int64 vertices of the set to their int64 indices in its ascending
+    list (`vertex_ids`): the popcount of the words before a vertex's
+    word, from one prefix sum, plus that of its word's lower bits."""
+    counts = np.bitwise_count(words)
+    starts = np.cumsum(counts, dtype=np.int64) - counts
+
+    def rank(vertices: np.ndarray) -> np.ndarray:
+        word = vertices >> 6
+        below = np.left_shift(np.uint64(1), (vertices & 63).astype(np.uint64)) - np.uint64(1)
+        below &= words[word]
+        return starts[word] + np.bitwise_count(below)
+
+    return rank
 
 
 def lower_ends(words: np.ndarray, c: int) -> np.ndarray:
@@ -132,6 +225,22 @@ def mix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+# the SplitMix64 finalizer as (shift, mult) steps: z ^= z >> shift, then
+# z *= mult, the last step without a multiply
+_FINALIZER = ((np.uint64(30), np.uint64(MIX_A)), (np.uint64(27), np.uint64(MIX_B)), (np.uint64(31), None))
+
+
+def _finalize(z: np.ndarray, tmp: Optional[np.ndarray] = None) -> None:
+    """The SplitMix64 finalizer on uint64 z, in place; tmp, a uint64
+    array of z's shape, holds the shifts (a fresh one if None)."""
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mult in _FINALIZER:
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        if mult is not None:
+            z *= mult
+
+
 def _mix64_array(seed, indices: np.ndarray) -> np.ndarray:
     """mix64 elementwise.  seed is an int or a uint64 array that
     broadcasts against indices (a column of seeds gives a grid)."""
@@ -139,11 +248,7 @@ def _mix64_array(seed, indices: np.ndarray) -> np.ndarray:
         seed = np.uint64(seed & M64)
     # the broadcasting xor allocates the result; the rest works in place
     z = (indices.astype(np.uint64, copy=False) * np.uint64(GOLDEN)) ^ seed
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(MIX_A)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(MIX_B)
-    z ^= z >> np.uint64(31)
+    _finalize(z)
     return z
 
 
@@ -387,13 +492,31 @@ class PercolationSample:
 
 
 def _draw_bitset(seed: int, offset: int, count: int, threshold: int) -> np.ndarray:
+    """The packed draws offset .. offset + count - 1 against threshold,
+    _CHUNK at a time.  The scrambled index (offset + s + i) GOLDEN of draw
+    i of the chunk at s is table[i] + s GOLDEN mod 2^64, table holding the
+    first chunk's, so the chunks share one table, and the finalizer and
+    the compare run in buffers allocated once."""
     out = np.empty((count + 7) // 8, dtype=np.uint8)
-    step = _CHUNK  # multiple of 8 so chunks pack on byte boundaries
-    for s in range(0, count, step):
-        e = min(s + step, count)
-        idx = np.arange(offset + s, offset + e, dtype=np.uint64)
-        bits = draws_below(seed, idx, threshold)
-        out[s >> 3 : (e + 7) >> 3] = np.packbits(bits, bitorder="little")
+    if threshold >= ALWAYS or threshold <= 0:
+        # p = 1 or p = 0: every draw succeeds, or none does; the padding
+        # bits past count stay clear
+        out.fill(0xFF if threshold > 0 else 0)
+        out[-1:] &= 0xFF >> (-count & 7)
+        return out
+    table = np.arange(offset, offset + min(_CHUNK, count), dtype=np.uint64) * np.uint64(GOLDEN)
+    z, tmp = np.empty_like(table), np.empty_like(table)
+    bits = np.empty(len(table), dtype=bool)
+    seed, threshold = np.uint64(seed & M64), np.uint64(threshold)
+    # _CHUNK is a multiple of 8, so chunks pack on byte boundaries
+    for s in range(0, count, _CHUNK):
+        if count - s < len(table):
+            table, z, tmp, bits = (a[: count - s] for a in (table, z, tmp, bits))
+        np.add(table, np.uint64(s * GOLDEN & M64), out=z)
+        z ^= seed
+        _finalize(z, tmp)
+        np.less(z, threshold, out=bits)
+        out[s >> 3 : (s + len(bits) + 7) >> 3] = np.packbits(bits, bitorder="little")
     return out
 
 

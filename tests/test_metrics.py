@@ -20,7 +20,7 @@ from conftest import (
     perc_model,
     scipy_distances,
 )
-from cubeperc import metrics
+from cubeperc import metrics, percolation
 from cubeperc.errors import CapExceeded, SourceAbsent, TooLarge
 from cubeperc.hypercube import CubeShape, hamming
 from cubeperc.embedding import build_good_map
@@ -36,7 +36,7 @@ from cubeperc.metrics import (
     evaluate_distortion,
 )
 from cubeperc.harness import cell_model
-from cubeperc.percolation import PercModel, PercolationSample, mix64, sample
+from cubeperc.percolation import PercModel, PercolationSample, close_under, mix64, sample
 
 perc_case = st.tuples(
     st.integers(2, 6), st.floats(0.1, 0.9), st.integers(0, 2**32)
@@ -627,6 +627,105 @@ class TestGiantSweep:
                 sm = sample(CubeShape(20), cell_model("bond", 20, alpha), mix64(0, j))
                 assert components(sm).giant_size > 1 << 19, (alpha, j)
         TestComponents.assert_pinned(components(TestComponents.pinned_n20()))
+
+
+def packed_set(nv: int, vertices) -> np.ndarray:
+    """The packed vertex set of the given vertices, bit v % 64 of word
+    v // 64, the padding past nv zero."""
+    bits = np.zeros(-(-nv // 64) * 64, dtype=bool)
+    bits[np.asarray(vertices, dtype=np.int64)] = True
+    return np.packbits(bits, bitorder="little").view(np.uint64)
+
+
+def level_sweep(planes, sources) -> np.ndarray:
+    """The reached set as the giant sweep recorded it before the
+    closure: the OR of every `_bfs_bits` frontier from the sources."""
+    reached = np.zeros(planes.shape[1], dtype=np.uint64)
+    for _, frontier in metrics._bfs_bits(planes, sources):
+        reached |= np.bitwise_or.reduce(frontier, axis=0)
+    return reached
+
+
+class TestClosure:
+    @staticmethod
+    def assert_closes(planes, start, case):
+        # close_under from the start set and `_reached` from its first
+        # vertex give the level sweep's set bit for bit, and the closed
+        # set comes back unchanged after one pass
+        nv = 1 << planes.shape[0]
+        want = level_sweep(planes, start)
+        got = packed_set(nv, start)
+        close_under(got, planes)
+        assert got.tobytes() == want.tobytes(), case
+        if len(start) == 1:
+            assert metrics._reached(planes, start[0]).tobytes() == want.tobytes(), case
+        assert close_under(got, planes) == 1, case
+        assert got.tobytes() == want.tobytes(), case
+
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_closure_matches_the_level_sweep(self, kind, windowed, monkeypatch):
+        # n = 1 to 9 take the padding bits and every step form below
+        # c = 10, n = 17 the run view; windowed splits the low
+        # coordinates' steps over 8 windows (1-word windows below n = 9),
+        # as 2^16 words do past n = 22.  Single sources, present or
+        # absent, and a multi-vertex start set
+        for n in (*range(1, 10), 17):
+            nv = 1 << n
+            if windowed:
+                monkeypatch.setattr(percolation, "_CLOSE_WORDS", max(nv >> 9, 1))
+            for alpha in (0.25, 0.75):
+                sm = sample(CubeShape(n), perc_model(kind, n**-alpha), n)
+                planes = sm.open_bit_planes()
+                sources = np.random.default_rng(n).choice(nv, min(nv, 4), replace=False)
+                for src in sources.tolist():
+                    self.assert_closes(planes, [src], (n, alpha, src))
+                self.assert_closes(planes, sources.tolist(), (n, alpha))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_source_without_an_open_edge(self, kind):
+        # vertex 0 with every incident edge closed, present (and absent
+        # when the model draws vertices), alone and with the cube's last
+        # vertex as the start set
+        for n in (*range(1, 10), 17):
+            drawn = sample(CubeShape(n), perc_model(kind, n**-0.25), 5)
+            half = 1 << (n - 1)
+            edges = redrawn(drawn._edge_bits, (c * half for c in range(n)), False)
+            variants = [drawn._vertex_bits]
+            if kind != "bond":
+                variants = [redrawn(drawn._vertex_bits, [0], s) for s in (True, False)]
+            for vertex_bits in variants:
+                sm = PercolationSample(drawn.shape, drawn.model, 5, edges, vertex_bits)
+                planes = sm.open_bit_planes()
+                self.assert_closes(planes, [0], (n, kind))
+                self.assert_closes(planes, [0, (1 << n) - 1], (n, kind))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_infinite_witness_past_the_switch(self, kind):
+        # from n = 13 `evaluate_distortion` can close its reached set;
+        # maps into the giant but for one source sent off it keep the
+        # labelling witness, and a map into the giant stays finite
+        for n in (13, 16):
+            nv = 1 << n
+            sm = sample(CubeShape(n), perc_model(kind, n**-0.5), n)
+            lab = components(sm)
+            giant = np.flatnonzero(lab.giant_mask())
+            off = np.setdiff1d(np.flatnonzero(sm.present_array()), giant)
+            rng = np.random.default_rng(n)
+            inside = rng.choice(giant, nv)
+            maps = [inside]
+            for source in (0, 1, nv - 1):
+                img = inside.copy()
+                img[source] = rng.choice(off)
+                maps.append(img)
+            with mock.patch.object(metrics, "close_under", wraps=close_under) as spy:
+                for img in maps:
+                    rep = evaluate_distortion(sm, VertexMap(img), "sampled", pair_count=4)
+                    witness = labelling_witness(sm, img)
+                    assert rep.infinite == (witness is not None), (n, kind)
+                    if rep.infinite:
+                        assert rep.witness_plus == witness, (n, kind)
+            assert spy.called, (n, kind)
 
 
 class TestEvaluateDistortion:

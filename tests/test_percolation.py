@@ -25,6 +25,7 @@ from cubeperc.percolation import (
     unpack_vertices,
     vertex_draw_offset,
     vertex_ids,
+    vertex_ranker,
 )
 
 M64 = (1 << 64) - 1
@@ -183,6 +184,29 @@ def test_draws_at_chunk_boundaries(model):
             assert _draws_at(sm, k) == (mix64(seed, k) < threshold), k
 
 
+@pytest.mark.parametrize("chunk", [8, 24, percolation._CHUNK])
+def test_draw_bitset_matches_scalar_mix64(chunk, monkeypatch):
+    # the packed draws against scalar mix64 with the chunk shrunk to a few
+    # bytes and at its default: offsets and counts off the chunk and byte
+    # grid, the vertex-draw offset of a site sample, a seed with the top
+    # bit set, thresholds 0, 1, M64 and ALWAYS (p = 0 and p = 1 take the
+    # short cut); the padding bits past count stay clear
+    monkeypatch.setattr(percolation, "_CHUNK", chunk)
+    counts = (1, 7, 9, 2 * chunk + 5) if chunk < 64 else (chunk + 13,)
+    thresholds = (0, 1, quantize_probability(0.3), M64, ALWAYS)
+    for seed in (0, (1 << 63) | 977):
+        for offset in (0, 5, vertex_draw_offset(CubeShape(17)) + 3):
+            for count in counts:
+                draws = [mix64(seed, offset + i) for i in range(count)]
+                for threshold in thresholds:
+                    got = percolation._draw_bitset(seed, offset, count, threshold)
+                    assert got.dtype == np.uint8 and len(got) == (count + 7) // 8
+                    bits = np.unpackbits(got, bitorder="little")
+                    want = [d < threshold for d in draws]
+                    assert bits[:count].tolist() == want, (seed, offset, count, threshold)
+                    assert not bits[count:].any(), (seed, offset, count, threshold)
+
+
 # sha256 of serialize() for seed 2024, recorded before the draw kernel
 # moved to cache-sized chunks; any change to a drawn bit changes these
 SERIALIZED_SHA256 = {
@@ -312,6 +336,25 @@ def test_vertex_ids_list_the_set(n, id_words, monkeypatch):
         got = vertex_ids(words)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.flatnonzero(unpack_vertices(words, nv)))
+
+
+@pytest.mark.parametrize("n", (*range(1, 13), 19))
+def test_vertex_ranker_matches_searchsorted(n):
+    # each vertex's index in the set's ascending ids is what
+    # np.searchsorted finds there, int64, for the whole set, a part of it
+    # and no vertex, on dense, sparse and full sets
+    nv = 1 << n
+    dense = random_vertex_sets(n, 2, 400 + n)
+    sparse = dense[0] & dense[1]
+    sparse[::3] = 0
+    full = np.full_like(sparse, (1 << min(nv, 64)) - 1)
+    for words in (*dense, sparse, full):
+        ids = vertex_ids(words)
+        rank = vertex_ranker(words)
+        for part in (ids, ids[1::3], ids[:0]):
+            got = rank(part)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.searchsorted(ids, part))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
